@@ -62,10 +62,16 @@
 //     against a per-shard sequence (optimistic, bounded retries); the
 //     linearizability hammer in tests/linearizability_test.cpp is the
 //     enforcement.
-//   * A sharded snapshot() from a non-owner thread still drains (it is a
-//     barrier by design) and reflects, per shard, all acknowledged writes
-//     plus possibly some just-applied ones; from the owner thread it is
-//     an exact cut.
+//   * Sharded snapshot() is BARRIER-FREE as well: it never drains and
+//     never waits on a worker. Per shard it stacks the acknowledged-pending
+//     overlay runs the published view does not cover yet ahead of that
+//     view, so it reflects every mutation whose facade call returned
+//     before it began. From the owner thread it is an exact cut; from
+//     another thread it may also show runs submitted meanwhile. Cursor
+//     seeks, range_for_each and for_each read through it, so they take no
+//     drain either. A worker failure surfaces on the next facade call:
+//     like find(), a snapshot taken before the failure lands may show
+//     acknowledged runs the worker later drops.
 //
 // Cursor contract (make_cursor / seek / next / valid / entry):
 //   * make_cursor() returns a detached cursor object; creating it may
@@ -93,10 +99,10 @@
 //     concurrent writes on those structures, open it on snapshot()
 //     instead, which gives the pinned semantics everywhere.
 //   * Sharded dictionaries (shard/sharded_dictionary.hpp) acquire their
-//     snapshot by fusing per-shard snapshots under one epoch, so a sharded
-//     cursor reads one consistent cross-shard version and never races the
-//     shard worker threads; the former seek-time drain barrier and
-//     epoch-invalidation protocol are gone.
+//     snapshot by fusing the per-shard published views and pending
+//     overlays under one epoch, so a sharded cursor reads one consistent
+//     cross-shard version, never races the shard worker threads and never
+//     waits for them.
 //   * range_for_each/for_each are implemented ON TOP of the snapshot
 //     cursor in the amortized COLA (one bounded seek over a one-shot
 //     internal snapshot, cached per mutation epoch) and on the native
@@ -106,17 +112,10 @@
 //     callback.
 //
 // Batch contract (insert_batch / erase_batch / apply_batch):
-//   * The primary signatures take costream::Span<T> (common/span.hpp) —
+//   * The batch signatures take costream::Span<T> (common/span.hpp) —
 //     implicitly constructible from std::vector, std::array, C arrays, or
-//     an explicit {ptr, len} pair.
-//   * DEPRECATED (pointer-form shims): the pre-span two-argument forms
-//     `insert_batch(const Entry<K,V>*, n)`, `erase_batch(const K*, n)` and
-//     `apply_batch(const Op<K,V>*, n)` remain for one release as thin
-//     delegating shims. Migrate `d.insert_batch(v.data(), v.size())` to
-//     `d.insert_batch(v)` (or `{ptr, len}` where no container exists); the
-//     repository's `deprecated-api` CI lint rejects in-repo callers of the
-//     pointer forms, and the shims will be removed in the release after
-//     next.
+//     an explicit {ptr, len} pair. There are no pointer-form overloads:
+//     write `d.insert_batch(v)` or `d.insert_batch({ptr, len})`.
 //   * The input run may be UNSORTED and may contain DUPLICATE keys; the
 //     structure sorts and deduplicates internally.
 //   * Within the batch the LAST operation on a key wins — for apply_batch
@@ -479,22 +478,18 @@ class AnyDictionary {
   /// dispatch on reads through it.
   Snapshot<> snapshot() const { return impl_->snapshot(); }
 
+  /// Republication source for a sharded facade hosting this wrapper: the
+  /// wrapped structure's own snap::publish_view, so an erased Gcola shard
+  /// republishes in O(appended data) instead of through snapshot().
+  std::shared_ptr<const snap::SnapshotData<>> publish_view() const {
+    return impl_->publish_view();
+  }
+
   void insert(Key k, Value v) { impl_->insert(k, v); }
   void insert_batch(Span<Entry<>> batch) { impl_->insert_batch(batch); }
   void erase(Key k) { impl_->erase(k); }
   void erase_batch(Span<Key> keys) { impl_->erase_batch(keys); }
   void apply_batch(Span<Op<>> ops) { impl_->apply_batch(ops); }
-  // Deprecated pointer-form batch shims (one release; migration note in the
-  // header comment — CI's deprecated-api lint rejects in-repo callers).
-  void insert_batch(const Entry<>* data, std::size_t n) {
-    insert_batch(Span<Entry<>>(data, n));
-  }
-  void erase_batch(const Key* keys, std::size_t n) {
-    erase_batch(Span<Key>(keys, n));
-  }
-  void apply_batch(const Op<>* ops, std::size_t n) {
-    apply_batch(Span<Op<>>(ops, n));
-  }
   std::optional<Value> find(Key k) const { return impl_->find(k); }
   void range_for_each(Key lo, Key hi, const RangeFn& fn) const {
     impl_->range_for_each(lo, hi, fn);
@@ -511,6 +506,7 @@ class AnyDictionary {
     virtual void apply_batch(Span<Op<>>) = 0;
     virtual std::optional<Value> find(Key) const = 0;
     virtual Snapshot<> snapshot() const = 0;
+    virtual std::shared_ptr<const snap::SnapshotData<>> publish_view() const = 0;
     virtual void range_for_each(Key, Key, const RangeFn&) const = 0;
     virtual void for_each(const RangeFn&) const = 0;
     virtual std::unique_ptr<Cursor::Concept> make_cursor_erased() const = 0;
@@ -526,6 +522,9 @@ class AnyDictionary {
     void apply_batch(Span<Op<>> ops) override { dict.apply_batch(ops); }
     std::optional<Value> find(Key k) const override { return dict.find(k); }
     Snapshot<> snapshot() const override { return dict.snapshot(); }
+    std::shared_ptr<const snap::SnapshotData<>> publish_view() const override {
+      return snap::publish_view<Key, Value>(dict);
+    }
     void range_for_each(Key lo, Key hi, const RangeFn& fn) const override {
       dict.range_for_each(lo, hi, fn);
     }

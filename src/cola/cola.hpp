@@ -522,12 +522,15 @@ class Gcola {
   /// republishes (stage_run_segs_); the binary-counter tail merge
   /// invalidates exactly the runs it rewrites. A republish after a batch
   /// append therefore costs O(appended data) plus segment-handle copies,
-  /// not a sort of the whole arena. Segments land newest-first: staging
-  /// runs (newest run first), then tiered levels shallow to deep. Classic
-  /// (non-tiered) levels are rewritten in place by merges and have no
-  /// immutable units to pin, so they fall back to the cached
-  /// copy-on-snapshot path. Owner-thread only, like every const read;
-  /// the RETURNED view is immutable and free-threaded. Publication is an
+  /// not a sort of the whole arena. With cfg_.filters on, each run mirror
+  /// carries its own Bloom filter (minted once, with the mirror), so a
+  /// miss against a view with many staging runs skips them instead of
+  /// probing every run whose fences span the key. Segments land
+  /// newest-first: staging runs (newest run first), then tiered levels
+  /// shallow to deep. Classic (non-tiered) levels are rewritten in place
+  /// by merges and have no immutable units to pin, so they fall back to
+  /// the cached copy-on-snapshot path. Owner-thread only, like every const
+  /// read; the RETURNED view is immutable and free-threaded. Publication is an
   /// in-memory mirror, not structural IO — it charges nothing to the DAM
   /// model (dam/bounds.hpp::sharded_search_transfer_bound).
   std::shared_ptr<const snap::SnapshotData<K, V>> publish_view() const {
@@ -548,7 +551,7 @@ class Gcola {
                                       stage_.flags.begin() + e),
             /*id=*/0,
             stage_base_ + static_cast<std::uint64_t>(b) * sizeof(TItem),
-            mutation_epoch_);
+            mutation_epoch_, cfg_.filters);
       }
       data->segs.push_back(stage_run_segs_[r]);
     }
@@ -714,18 +717,6 @@ class Gcola {
       run.push_back(s);
     }
     apply_normalized(run, n);
-  }
-
-  // Deprecated pointer-form batch shims (one release; migration note in
-  // api/dictionary.hpp — CI's deprecated-api lint rejects in-repo callers).
-  void insert_batch(const Entry<K, V>* data, std::size_t n) {
-    insert_batch(Span<Entry<K, V>>(data, n));
-  }
-  void erase_batch(const K* keys, std::size_t n) {
-    erase_batch(Span<K>(keys, n));
-  }
-  void apply_batch(const Op<K, V>* ops, std::size_t n) {
-    apply_batch(Span<Op<K, V>>(ops, n));
   }
 
   /// Drain the staging arena into the levels (normally automatic when the
@@ -1971,10 +1962,13 @@ class Gcola {
   /// order — and the bookkeeping the synchronous fold does inline happens
   /// here: stats mirror, spill observer (the durable tier's WAL barrier
   /// thus runs on the writer thread before any reader can see the
-  /// segment), staleness credit, epoch bump. Dropping the job releases the
-  /// input refs: sources retire unless a snapshot still pins them.
+  /// segment), staleness credit, epoch bump. The install releases the
+  /// job's input refs itself, so sources retire (unless a snapshot still
+  /// pins them) right here: the pool's queued closure co-owns the job and
+  /// may drop its reference only some time after the fold reported done.
   void install_pending() {
     std::shared_ptr<compact::FoldJob<K, V>> job = std::move(pend_job_);
+    job->inputs.clear();  // the fold finished reading them before done()
     const std::size_t target = pend_target_;
     const std::size_t prior = pend_prior_segs_;
     const std::uint64_t total_in = pend_total_in_;

@@ -123,20 +123,6 @@ inline std::size_t prefix_distinct_ref(const K* keys, std::size_t n) noexcept {
   return i + 1 < n ? i : n;
 }
 
-/// Cap on the batch width of multi_lower_bound_keys: callers probe at most
-/// one tiered level's segments at a time (<= growth - 1), so 32 state
-/// slots cover every supported configuration without heap scratch.
-inline constexpr std::size_t kMultiProbeMax = 32;
-
-/// `out[i] = lower_bound(bases[i][0..ns[i]), key)` for m independent sorted
-/// runs — the scalar reference runs them one after another.
-template <class K>
-inline void multi_lower_bound_ref(const K* const* bases, const std::size_t* ns,
-                                  std::size_t m, const K& key,
-                                  std::size_t* out) noexcept {
-  for (std::size_t i = 0; i < m; ++i) out[i] = lower_bound_ref(bases[i], ns[i], key);
-}
-
 #if COSTREAM_SIMD_X86
 
 // -- vector kernels (u64 keys) ------------------------------------------------
@@ -227,76 +213,6 @@ lower_bound_sse42(const std::uint64_t* keys, std::size_t n, std::uint64_t key) n
          prefix_less_sse42(base, len, key);
 }
 
-/// Interleaved multi-run lower bound: one halving ROUND advances every
-/// still-wide search by one step, so the m dependent cache-miss chains a
-/// serial loop would walk one after another run concurrently — the round
-/// prefetches every search's midpoint first, then resolves the compares.
-/// A point lookup that must probe every segment of a tiered level is
-/// latency-bound on exactly those chains; overlapping them is worth far
-/// more than any in-cache vector width. Tails finish with the vector
-/// prefix scans.
-__attribute__((target("avx2"))) inline void
-multi_lower_bound_avx2(const std::uint64_t* const* bases, const std::size_t* ns,
-                       std::size_t m, std::uint64_t key,
-                       std::size_t* out) noexcept {
-  const std::uint64_t* cur[kMultiProbeMax];
-  std::size_t len[kMultiProbeMax];
-  bool again = false;
-  for (std::size_t i = 0; i < m; ++i) {
-    cur[i] = bases[i];
-    len[i] = ns[i];
-    again |= len[i] > 32;
-  }
-  while (again) {
-    for (std::size_t i = 0; i < m; ++i) {
-      if (len[i] > 32) __builtin_prefetch(cur[i] + len[i] / 2 - 1);
-    }
-    again = false;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (len[i] <= 32) continue;
-      const std::size_t half = len[i] / 2;
-      cur[i] += cur[i][half - 1] < key ? half : 0;  // cmov, no mispredict
-      len[i] -= half;
-      again |= len[i] > 32;
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    out[i] = static_cast<std::size_t>(cur[i] - bases[i]) +
-             prefix_less_avx2(cur[i], len[i], key);
-  }
-}
-
-__attribute__((target("sse4.2"))) inline void
-multi_lower_bound_sse42(const std::uint64_t* const* bases, const std::size_t* ns,
-                        std::size_t m, std::uint64_t key,
-                        std::size_t* out) noexcept {
-  const std::uint64_t* cur[kMultiProbeMax];
-  std::size_t len[kMultiProbeMax];
-  bool again = false;
-  for (std::size_t i = 0; i < m; ++i) {
-    cur[i] = bases[i];
-    len[i] = ns[i];
-    again |= len[i] > 8;
-  }
-  while (again) {
-    for (std::size_t i = 0; i < m; ++i) {
-      if (len[i] > 8) __builtin_prefetch(cur[i] + len[i] / 2 - 1);
-    }
-    again = false;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (len[i] <= 8) continue;
-      const std::size_t half = len[i] / 2;
-      cur[i] += cur[i][half - 1] < key ? half : 0;
-      len[i] -= half;
-      again |= len[i] > 8;
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    out[i] = static_cast<std::size_t>(cur[i] - bases[i]) +
-             prefix_less_sse42(cur[i], len[i], key);
-  }
-}
-
 /// AVX2 adjacent-duplicate scan: compares keys[i..i+3] against
 /// keys[i+1..i+4] four pairs at a time.
 __attribute__((target("avx2"))) inline std::size_t
@@ -344,34 +260,6 @@ inline std::size_t lower_bound_keys(const K* keys, std::size_t n, const K& key,
 #endif
   (void)isa;
   return lower_bound_ref(keys, n, key);
-}
-
-/// Lower bound of the SAME key in m independent sorted runs (m <=
-/// kMultiProbeMax). Tier selection as above; every tier fills out[] with
-/// bit-identical positions — only the order the memory system sees the
-/// probes in changes.
-template <class K>
-inline void multi_lower_bound_keys(const K* const* bases, const std::size_t* ns,
-                                   std::size_t m, const K& key, std::size_t* out,
-                                   Isa isa) noexcept {
-#if COSTREAM_SIMD_X86
-  if constexpr (sizeof(K) == 8 && std::is_integral_v<K> && std::is_unsigned_v<K>) {
-    if (isa == Isa::kAvx2) {
-      detail::multi_lower_bound_avx2(
-          reinterpret_cast<const std::uint64_t* const*>(bases), ns, m,
-          static_cast<std::uint64_t>(key), out);
-      return;
-    }
-    if (isa == Isa::kSse42) {
-      detail::multi_lower_bound_sse42(
-          reinterpret_cast<const std::uint64_t* const*>(bases), ns, m,
-          static_cast<std::uint64_t>(key), out);
-      return;
-    }
-  }
-#endif
-  (void)isa;
-  multi_lower_bound_ref(bases, ns, m, key, out);
 }
 
 template <class K>

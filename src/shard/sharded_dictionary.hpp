@@ -38,12 +38,15 @@
 //     facade call returned before the find began — reads-your-acknowledged
 //     -writes — and may additionally reflect queued runs the worker has
 //     applied since.
-//   * Ordered reads are SNAPSHOT consistent: snapshot() drains all shards
-//     once, pins each shard's worker-published view, and fuses them by
-//     segment-reference concatenation (common/cursor_fusion.hpp::
-//     fuse_snapshots — shards are key-disjoint, so concatenation preserves
-//     newest-first priority). Cursors, range scans, and merge joins read
-//     that frozen, ref-counted view; the snapshot handle itself is
+//   * Ordered reads are SNAPSHOT consistent and, like find(), BARRIER-FREE:
+//     snapshot() never drains. Per shard it pins the acknowledged-pending
+//     overlay and then the worker-published view (the find() load order,
+//     with the same coverage argument), turns the overlay runs the view
+//     does not cover into newest-first segments ahead of the view's
+//     segments, and concatenates the shards' segment references into one
+//     fused set — shards are key-disjoint, so concatenation preserves each
+//     shard's newest-first priority. Cursors, range scans, and merge joins
+//     read that frozen, ref-counted view; the snapshot handle itself is
 //     free-threaded.
 //   * Concurrency contract: MUTATORS (insert/erase/*_batch/flush_stage)
 //     plus shard_mut() and bulk-state probes (shard(), check_invariants())
@@ -57,8 +60,9 @@
 // reads"): after EVERY applied job, a shard's worker republishes the
 // shard's contents as an immutable ref-counted view (snap::publish_view —
 // per-staging-run segments make this O(newly appended data) on the tiered
-// Gcola) together with the count of jobs it has applied, then bumps the
-// shard's publication sequence. The facade, on every submit, republishes
+// Gcola, and DurableDictionary and AnyDictionary forward to it) together
+// with the count of jobs it has applied, then bumps the shard's
+// publication sequence. The facade, on every submit, republishes
 // the shard's ACKNOWLEDGED-PENDING overlay: immutable copies of the runs
 // it has handed to the ring that the published view may not cover yet.
 // A find loads the sequence, the overlay, then the view (that load order
@@ -66,13 +70,17 @@
 // EARLIER, so read-read coherence on the view pointer guarantees the
 // reader's view covers everything pruned from the reader's overlay — no
 // coverage gap), probes overlay runs newest-first and then the view, and
-// re-checks the sequence — retrying on change, bounded: every published
-// view is individually consistent, so the re-check buys freshness, never
-// safety, and a hot writer cannot livelock a reader. No drain, no wait:
+// re-checks the sequence — retrying on change if a run was acknowledged
+// since its overlay load (otherwise the overlay already held whatever the
+// new view adds), bounded: every published view is individually
+// consistent, so the re-check buys freshness, never safety, and a hot
+// writer cannot livelock a reader. No drain, no wait:
 // ShardedStats::drains stays untouched by find (asserted by
 // tests/linearizability_test.cpp, which hammers this path with reader
 // storms against writer storms and checks every observation against the
-// acknowledged-write envelope).
+// acknowledged-write envelope). snapshot() pins the same overlay and view
+// per shard, in the same order, without the sequence re-check: any pinned
+// pair is a consistent cover of the acknowledged runs.
 //
 // Cursors: a sharded cursor seeks against the facade's current snapshot
 // and then STAYS VALID across arbitrary mutations — the segments it reads
@@ -109,7 +117,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/cursor_fusion.hpp"
 #include "common/entry.hpp"
 #include "common/snapshot.hpp"
 #include "common/span.hpp"
@@ -124,19 +131,21 @@ struct ShardedConfig {
   std::size_t learn_sample_min = 64;  // min first-batch size to learn splitters
   std::vector<K> splitters;        // explicit boundaries (size shards - 1);
                                    // empty = learn from sample / defaults
-  // TEST-ONLY planted bug (tests/linearizability_test.cpp self-test): skip
-  // the acknowledged-pending overlay on the read path, so a find can miss
-  // writes whose facade call already returned — exactly the freshness bug
-  // the hammer's oracle must catch. Never set outside that self-test.
+  // TEST-ONLY planted bug (tests/linearizability_test.cpp self-tests): skip
+  // the acknowledged-pending overlay on the read paths (find() and
+  // snapshot()), so a read can miss writes whose facade call already
+  // returned — exactly the freshness bug the hammer's oracles must catch.
+  // Never set outside those self-tests.
   bool unsafe_skip_pending_overlay = false;
 };
 
 /// Facade-level counters, all safe to read from any thread (stats() takes
-/// a relaxed atomic photograph). `drains` counts read BARRIERS — snapshot
-/// acquisition and direct shard access still drain; find() never does
-/// (the linearizability hammer asserts the delta is zero across a pure
-/// find storm). `finds`/`find_retries` count barrier-free point reads and
-/// how many re-validated against a mid-read republish.
+/// a relaxed atomic photograph). `drains` counts read BARRIERS — drain(),
+/// flush_stage() and direct shard access still drain; find(), snapshot()
+/// and the cursors and scans built on it never do (the linearizability
+/// hammer asserts the delta is zero across find and scan storms).
+/// `finds`/`find_retries` count barrier-free point reads and how many
+/// re-validated against a mid-read republish.
 struct ShardedStats {
   std::uint64_t jobs = 0;      // runs handed to workers
   std::uint64_t batches = 0;   // facade-level batch calls
@@ -232,7 +241,7 @@ class ShardedDictionary {
         norm_scratch_(std::move(o.norm_scratch_)),
         snap_cache_(std::move(o.snap_cache_)),
         snap_epoch_(o.snap_epoch_),
-        snap_parts_(std::move(o.snap_parts_)) {
+        snap_pins_(std::move(o.snap_pins_)) {
     routes_ready_.store(o.routes_ready_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
     epoch_.store(o.epoch_.load(std::memory_order_relaxed),
@@ -251,7 +260,7 @@ class ShardedDictionary {
     norm_scratch_ = std::move(o.norm_scratch_);
     snap_cache_ = std::move(o.snap_cache_);
     snap_epoch_ = o.snap_epoch_;
-    snap_parts_ = std::move(o.snap_parts_);
+    snap_pins_ = std::move(o.snap_pins_);
     routes_ready_.store(o.routes_ready_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
     epoch_.store(o.epoch_.load(std::memory_order_relaxed),
@@ -336,18 +345,6 @@ class ShardedDictionary {
     apply_normalized();
   }
 
-  // Deprecated pointer-form batch shims (one release; migration note in
-  // api/dictionary.hpp — CI's deprecated-api lint rejects in-repo callers).
-  void insert_batch(const Entry<K, V>* data, std::size_t n) {
-    insert_batch(Span<Entry<K, V>>(data, n));
-  }
-  void erase_batch(const K* keys, std::size_t n) {
-    erase_batch(Span<K>(keys, n));
-  }
-  void apply_batch(const Op<K, V>* ops, std::size_t n) {
-    apply_batch(Span<Op<K, V>>(ops, n));
-  }
-
   /// Flush every shard's deferred state (staging arenas etc.) and drain, so
   /// the caller observes the full cost of everything ingested so far.
   void flush_stage() {
@@ -413,38 +410,79 @@ class ShardedDictionary {
           attempt >= kFindRetries) {
         return out;
       }
+      // A republish alone cannot change the answer: every job a newer view
+      // adds was submitted before our overlay load (the facade replaces
+      // the overlay on every submit, and we still hold ours, so the
+      // pointer cannot be recycled), so our overlay already held it. Only
+      // a run acknowledged since then makes a retry worth its cost.
+      if (sh.pending.load() == pend) return out;
       stats_.find_retries.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   /// Point-in-time snapshot of the whole facade (contract in
-  /// api/dictionary.hpp): drain every shard once, pin each shard's
-  /// worker-published view, and fuse them by segment-reference
-  /// concatenation — the shards partition the keyspace, so each shard's
-  /// newest-first order is the only priority the merged cursor needs.
-  /// Cached per facade epoch behind a mutex, so any number of threads may
-  /// acquire concurrently with the owner's mutations; a snapshot taken
-  /// from the owner thread is an exact cut, one taken mid-mutation from
-  /// another thread reflects, per shard, all acknowledged writes plus
-  /// possibly some just-applied ones. The handle is free-threaded and
-  /// survives arbitrary mutations.
+  /// api/dictionary.hpp), BARRIER-FREE like find(): no drain, no waiting on
+  /// workers. Per shard, pin the acknowledged-pending overlay and then the
+  /// worker-published view — the find() load order, so the view covers
+  /// every run pruned from the overlay — and stack the overlay runs the
+  /// view does not cover (job > jobs_applied) newest-first ahead of the
+  /// view's segments. The shards partition the keyspace, so concatenating
+  /// their segment lists keeps each shard's newest-first order, the only
+  /// priority the merged cursor needs. One pass builds the fused set: each
+  /// segment reference is copied once, and an overlay run is converted
+  /// only while no published view covers it yet. Cached per facade epoch
+  /// behind a mutex, so any number of threads may acquire concurrently
+  /// with the owner's mutations; a snapshot taken from the owner thread is
+  /// an exact cut (every acknowledged run is in the view or the overlay),
+  /// one taken mid-mutation from another thread reflects, per shard, all
+  /// acknowledged writes plus possibly some just-submitted ones. A worker
+  /// failure surfaces on the next facade call, so like find() a snapshot
+  /// taken before it lands may show acknowledged runs the worker later
+  /// drops. The handle is free-threaded and survives arbitrary mutations.
   snap::Snapshot<K, V> snapshot() const {
     throw_if_failed();
-    drain_all();
     std::lock_guard<std::mutex> lock(snap_mu_);
+    // Epoch FIRST: the owner stores a run's overlay before it bumps the
+    // epoch, so the overlays loaded below cover every run up to `e`.
     const std::uint64_t e = epoch_.load(std::memory_order_acquire);
     if (snap_cache_ && snap_epoch_ == e) return snap_cache_;
-    snap_parts_.clear();
-    snap_parts_.reserve(shards_.size());
-    for (const auto& sh : shards_) {
-      const std::shared_ptr<const ShardView> view =
-          sh->pub_view.load();
-      snap_parts_.push_back(view != nullptr
-                                ? snap::Snapshot<K, V>(view->data)
-                                : snap::Snapshot<K, V>());
+    std::size_t total = 0;
+    snap_pins_.resize(shards_.size());
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      SnapPin& p = snap_pins_[s];
+      p.pend = cfg_.unsafe_skip_pending_overlay ? nullptr
+                                                : shards_[s]->pending.load();
+      p.view = shards_[s]->pub_view.load();
+      const std::uint64_t applied =
+          p.view != nullptr ? p.view->jobs_applied : 0;
+      // Runs are job-ascending: the uncovered ones form a suffix.
+      p.first_uncovered = p.pend != nullptr ? p.pend->runs.size() : 0;
+      while (p.first_uncovered > 0 &&
+             p.pend->runs[p.first_uncovered - 1].job > applied) {
+        --p.first_uncovered;
+      }
+      if (p.pend != nullptr) total += p.pend->runs.size() - p.first_uncovered;
+      if (p.view != nullptr && p.view->data != nullptr) {
+        total += p.view->data->segs.size();
+      }
     }
-    snap_cache_ = fuse_snapshots(snap_parts_, e);
-    snap_parts_.clear();  // the fused snapshot co-owns the segments
+    auto data = std::make_shared<snap::SnapshotData<K, V>>();
+    data->epoch = e;
+    data->segs.reserve(total);
+    for (SnapPin& p : snap_pins_) {
+      if (p.pend != nullptr) {
+        for (std::size_t i = p.pend->runs.size(); i-- > p.first_uncovered;) {
+          data->segs.push_back(p.pend->runs[i].segment(e));
+        }
+      }
+      if (p.view != nullptr && p.view->data != nullptr) {
+        const snap::SnapshotData<K, V>& vd = *p.view->data;
+        data->segs.insert(data->segs.end(), vd.segs.begin(), vd.segs.end());
+        if (!vd.fence_keys) data->fence_keys = false;
+      }
+      p = SnapPin{};  // the fused set co-owns what it needs
+    }
+    snap_cache_ = snap::Snapshot<K, V>(std::move(data));
     snap_epoch_ = e;
     return snap_cache_;
   }
@@ -577,6 +615,26 @@ class ShardedDictionary {
           [](const Op<K, V>& o, const K& key) { return o.key < key; });
       return it != run->end() && !(k < it->key) ? &*it : nullptr;
     }
+
+    /// The run as an immutable segment (erases become tombstones) for a
+    /// snapshot whose published view does not cover it yet.
+    snap::SegmentRef<K, V> segment(std::uint64_t epoch) const {
+      const Op<K, V>* ops = run != nullptr ? run->data() : &one;
+      const std::size_t n = run != nullptr ? run->size() : 1;
+      std::vector<K> keys(n);
+      std::vector<V> vals(n);
+      std::vector<std::uint8_t> flags(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        keys[i] = ops[i].key;
+        vals[i] = ops[i].value;
+        flags[i] = ops[i].erase ? static_cast<std::uint8_t>(
+                                      snap::Item<K, V>::kFlagTombstone)
+                                : std::uint8_t{0};
+      }
+      return snap::make_segment<K, V>(std::move(keys), std::move(vals),
+                                      std::move(flags), /*id=*/0,
+                                      /*base_addr=*/0, epoch);
+    }
   };
 
   /// The facade's acknowledged-pending overlay for one shard: every run
@@ -585,6 +643,13 @@ class ShardedDictionary {
   /// once stored; the facade replaces the whole list on each submit.
   struct PendingList {
     std::vector<PendingRun> runs;
+  };
+
+  /// One shard's pinned read state while snapshot() fuses (scratch).
+  struct SnapPin {
+    std::shared_ptr<const PendingList> pend;
+    std::shared_ptr<const ShardView> view;
+    std::size_t first_uncovered = 0;  // overlay runs [first_uncovered, end)
   };
 
   /// A shard: the structure, its inbox, the worker thread that is the
@@ -876,7 +941,7 @@ class ShardedDictionary {
   mutable std::mutex snap_mu_;
   mutable snap::Snapshot<K, V> snap_cache_;
   mutable std::uint64_t snap_epoch_ = 0;
-  mutable std::vector<snap::Snapshot<K, V>> snap_parts_;
+  mutable std::vector<SnapPin> snap_pins_;
   mutable AtomicShardedStats stats_;
 };
 

@@ -143,18 +143,6 @@ class DurableDictionary {
 
   void apply_batch(Span<Op<>> ops) { st_->apply_ops(ops.data(), ops.size()); }
 
-  // Deprecated pointer-form batch shims (one release; migration note in
-  // api/dictionary.hpp — CI's deprecated-api lint rejects in-repo callers).
-  void insert_batch(const Entry<>* data, std::size_t n) {
-    insert_batch(Span<Entry<>>(data, n));
-  }
-  void erase_batch(const Key* keys, std::size_t n) {
-    erase_batch(Span<Key>(keys, n));
-  }
-  void apply_batch(const Op<>* ops, std::size_t n) {
-    apply_batch(Span<Op<>>(ops, n));
-  }
-
   /// Drain the inner staging arena (memory-only: the arena's content is
   /// already WAL-logged, so this changes layout, not durability).
   void flush_stage() {
@@ -185,6 +173,13 @@ class DurableDictionary {
   /// segment snapshot. Durability is orthogonal — the snapshot pins what
   /// the memory tier holds NOW, which already reflects every accepted op.
   snap::Snapshot<Key, Value> snapshot() const { return st_->inner.snapshot(); }
+
+  /// Republication source for a sharded facade hosting this dictionary
+  /// (snap::publish_view): the inner COLA's O(appended) per-staging-run
+  /// view, not the arena-collapsing snapshot().
+  std::shared_ptr<const snap::SnapshotData<Key, Value>> publish_view() const {
+    return st_->inner.publish_view();
+  }
 
   auto make_cursor() const { return st_->inner.make_cursor(); }
 

@@ -97,45 +97,6 @@ TEST(SimdKernels, LowerBoundMatchesReferenceAllLengthsAndTiers) {
   }
 }
 
-TEST(SimdKernels, MultiLowerBoundMatchesReferenceAcrossWidthsAndTiers) {
-  const auto tiers = testable_isas();
-  // Batch widths from a lone run up to the kernel's cap, over runs of
-  // deliberately mismatched lengths (0, tiny, straddling the scan cutoff,
-  // and deep enough to take several interleaved halving rounds).
-  const std::size_t lens[] = {0, 1, 2, 7, 31, 32, 33, 100, 257, 1024, 5000};
-  for (const std::size_t m :
-       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{7},
-        simd::kMultiProbeMax}) {
-    std::vector<std::vector<K>> runs;
-    std::vector<const K*> bases;
-    std::vector<std::size_t> ns;
-    for (std::size_t i = 0; i < m; ++i) {
-      runs.push_back(
-          sorted_keys(lens[i % (sizeof(lens) / sizeof(lens[0]))], 91 * i + 3,
-                      /*base=*/200 * i));
-      ns.push_back(runs.back().size());
-    }
-    for (const auto& r : runs) bases.push_back(r.data());  // stable post-push
-    std::vector<K> probes{0, ~0ull};
-    Xoshiro256 rng(19);
-    for (int i = 0; i < 64; ++i) probes.push_back(rng.below(200 * m + 500));
-    for (const K probe : probes) {
-      std::vector<std::size_t> want(m);
-      simd::multi_lower_bound_ref(bases.data(), ns.data(), m, probe, want.data());
-      for (std::size_t i = 0; i < m; ++i) {
-        ASSERT_EQ(want[i], simd::lower_bound_ref(bases[i], ns[i], probe));
-      }
-      for (const simd::Isa isa : tiers) {
-        std::vector<std::size_t> got(m, ~std::size_t{0});
-        simd::multi_lower_bound_keys(bases.data(), ns.data(), m, probe,
-                                     got.data(), isa);
-        ASSERT_EQ(want, got) << "m=" << m << " probe=" << probe
-                             << " isa=" << simd::isa_name(isa);
-      }
-    }
-  }
-}
-
 TEST(SimdKernels, PrefixLessMatchesReferenceAllLengthsAndTiers) {
   const auto tiers = testable_isas();
   for (std::size_t n = 0; n <= 257; ++n) {

@@ -24,8 +24,20 @@
 //
 // The hammer also asserts find() performs ZERO drain barriers: the
 // ShardedStats::drains delta across the storm must be exactly zero.
+//
+// The scan arm extends both guarantees to ordered reads. Right after each
+// acknowledged call the writer (the facade's owner thread) scans a window
+// of keys around what it just wrote, alternating snapshot(), facade cursor
+// seeks, range_for_each and for_each. An owner-thread snapshot is an exact
+// cut, so every key in the window must read exactly its last issued
+// version (absent when that version is an erase or the key was never
+// written) — in particular every acknowledged write is there, including
+// the ones the shard worker has not applied yet. The drains delta across
+// the scan storm must stay zero too, and the planted overlay-skip bug must
+// make this scan oracle fire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -34,6 +46,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cola/cola.hpp"
@@ -112,7 +125,9 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 
 struct HammerResult {
   std::uint64_t finds = 0;
+  std::uint64_t scans = 0;
   std::uint64_t violations = 0;
+  std::uint64_t scan_violations = 0;
   std::uint64_t drains_delta = 0;
   std::string first_violation;
 };
@@ -127,6 +142,7 @@ struct HammerOptions {
                                     // to the shared background pool
   bool plant_bug = false;  // skip the pending overlay (self-test)
   bool writer_self_reads = false;  // writer probes its own acked puts
+  std::uint64_t scan_quota = 0;  // > 0: writer scans after every call
 };
 
 template <class Dict>
@@ -140,6 +156,8 @@ HammerResult run_hammer_on(Dict& d, const HammerOptions& opt) {
 
   std::atomic<std::uint64_t> finds{0};
   std::atomic<std::uint64_t> violations{0};
+  std::uint64_t scans = 0;
+  std::uint64_t scan_violations = 0;
   std::atomic<bool> done{false};
   std::mutex first_mu;
   std::string first_violation;
@@ -177,6 +195,53 @@ HammerResult run_hammer_on(Dict& d, const HammerOptions& opt) {
     }
   };
 
+  // Owner-thread scan of logical keys [lo, hi] right after an acked call:
+  // the result must be exactly the last issued version of every key. The
+  // read path rotates over the four ordered-read entry points.
+  std::vector<std::pair<Key, Value>> got;
+  auto self_scan = [&](std::uint64_t lo, std::uint64_t hi) {
+    got.clear();
+    auto sink = [&](const Key& k, const Value& v) {
+      if (k >= phys(lo) && k <= phys(hi)) got.emplace_back(k, v);
+    };
+    switch (scans++ % 4) {
+      case 0:
+        d.snapshot().range_for_each(phys(lo), phys(hi), sink);
+        break;
+      case 1: {
+        auto c = d.make_cursor();
+        for (c.seek(phys(lo), phys(hi)); c.valid(); c.next()) {
+          sink(c.entry().key, c.entry().value);
+        }
+        break;
+      }
+      case 2:
+        d.range_for_each(phys(lo), phys(hi), sink);
+        break;
+      default:
+        d.for_each(sink);
+        break;
+    }
+    std::size_t at = 0;
+    for (std::uint64_t li = lo; li <= hi; ++li) {
+      const std::uint32_t ver = issued[li].load(std::memory_order_relaxed);
+      const bool live = ver != 0 && !is_erase(li, ver);
+      const bool seen = at < got.size() && got[at].first == phys(li);
+      if (seen != live || (seen && got[at].second != encode(li, ver))) {
+        ++scan_violations;
+        flag("scan of [" + std::to_string(lo) + ", " + std::to_string(hi) +
+             "]: key " + std::to_string(li) + " at version " +
+             std::to_string(ver) +
+             (seen ? " read a stale value" : live ? " missing" : " resurrected"));
+      }
+      if (seen) ++at;
+    }
+  };
+  auto scan_around = [&](std::uint64_t li) {
+    const std::uint64_t lo = li >= 8 ? li - 8 : 0;
+    self_scan(lo, std::min<std::uint64_t>(lo + 16, kKeys - 1));
+  };
+
   const std::uint64_t drains_before = d.stats().drains;
 
   std::vector<std::thread> readers;
@@ -198,7 +263,8 @@ HammerResult run_hammer_on(Dict& d, const HammerOptions& opt) {
     std::vector<std::uint64_t> batch_keys;
     std::vector<bool> in_batch(kKeys, false);
     std::uint64_t round = 0;
-    while (finds.load(std::memory_order_relaxed) < opt.find_quota) {
+    while (finds.load(std::memory_order_relaxed) < opt.find_quota ||
+           scans < opt.scan_quota) {
       ++round;
       if (rng() % 4 == 0) {
         // Single-op path.
@@ -213,6 +279,7 @@ HammerResult run_hammer_on(Dict& d, const HammerOptions& opt) {
         }
         acked[li].store(ver, std::memory_order_release);
         if (opt.writer_self_reads && !is_erase(li, ver)) probe(li);
+        if (opt.scan_quota > 0) scan_around(li);
       } else {
         const std::size_t len = 1 + rng() % 64;
         batch.clear();
@@ -239,6 +306,9 @@ HammerResult run_hammer_on(Dict& d, const HammerOptions& opt) {
         if (opt.writer_self_reads && !batch_keys.empty()) {
           probe(batch_keys[rng() % batch_keys.size()]);
         }
+        if (opt.scan_quota > 0 && !batch_keys.empty()) {
+          scan_around(batch_keys[rng() % batch_keys.size()]);
+        }
       }
       if (violations.load(std::memory_order_relaxed) > 256) break;
     }
@@ -249,7 +319,9 @@ HammerResult run_hammer_on(Dict& d, const HammerOptions& opt) {
 
   HammerResult res;
   res.finds = finds.load(std::memory_order_relaxed);
+  res.scans = scans;
   res.violations = violations.load(std::memory_order_relaxed);
+  res.scan_violations = scan_violations;
   res.drains_delta = d.stats().drains - drains_before;
   res.first_violation = first_violation;
 
@@ -291,9 +363,10 @@ HammerResult run_hammer(const HammerOptions& opt) {
   return run_hammer_on(d, opt);
 }
 
-// Total find budget across all seeds. TSan's interceptors slow the storm
-// by an order of magnitude, so the instrumented job runs a smaller — but
-// still race-revealing — budget; plain jobs cover >= 10^6 interleavings.
+// Total find budget across all seeds, and the owner-scan budget per scan
+// arm. TSan's interceptors slow the storm by an order of magnitude, so the
+// instrumented job runs smaller — but still race-revealing — budgets;
+// plain jobs cover >= 10^6 find interleavings.
 #if defined(__SANITIZE_THREAD__)
 #define COSTREAM_LIN_TSAN 1
 #elif defined(__has_feature)
@@ -303,8 +376,10 @@ HammerResult run_hammer(const HammerOptions& opt) {
 #endif
 #if defined(COSTREAM_LIN_TSAN)
 constexpr std::uint64_t kDefaultTotalFinds = 200'000;
+constexpr std::uint64_t kDefaultScans = 4'000;
 #else
 constexpr std::uint64_t kDefaultTotalFinds = 1'200'000;
+constexpr std::uint64_t kDefaultScans = 20'000;
 #endif
 
 TEST(Linearizability, HammerBarrierFreeFindsStayInEnvelope) {
@@ -386,6 +461,60 @@ TEST(Linearizability, PlantedBugSelfTestOracleBites) {
   const auto res = run_hammer(opt);
   EXPECT_GT(res.violations, 0u)
       << "planted bug went undetected: the oracle does not bite";
+}
+
+TEST(Linearizability, HammerOwnerScansSeeEveryAcknowledgedWrite) {
+  // Owner-thread scans after every acknowledged call, against concurrent
+  // reader finds: S in {2, 4}, a plain and a dawdling worker (the slow
+  // arm keeps most acknowledged runs in the overlay, so the snapshot has
+  // to stack them ahead of a stale view), and one arm with background
+  // compaction. No scan may take a drain barrier.
+  struct Arm {
+    std::size_t shards;
+    std::chrono::microseconds delay;
+    unsigned compaction_threads;
+  };
+  for (const Arm arm : {Arm{2, std::chrono::microseconds(0), 0},
+                        Arm{4, std::chrono::microseconds(0), 0},
+                        Arm{2, std::chrono::microseconds(200), 0},
+                        Arm{4, std::chrono::microseconds(0), 2}}) {
+    HammerOptions opt;
+    opt.shards = arm.shards;
+    opt.readers = 2;
+    opt.seed = 6151 * (arm.shards + 1) +
+               static_cast<std::uint64_t>(arm.delay.count()) +
+               arm.compaction_threads;
+    opt.find_quota = 0;
+    opt.scan_quota = arm.delay.count() > 0 ? 2'000 : kDefaultScans;
+    opt.apply_delay = arm.delay;
+    opt.compaction_threads = arm.compaction_threads;
+    const auto res = run_hammer(opt);
+    const std::string tag = "shards=" + std::to_string(arm.shards) +
+                            " delay_us=" + std::to_string(arm.delay.count()) +
+                            " compaction_threads=" +
+                            std::to_string(arm.compaction_threads);
+    EXPECT_EQ(res.scan_violations, 0u) << tag << ": " << res.first_violation;
+    EXPECT_EQ(res.violations, 0u) << tag << ": " << res.first_violation;
+    EXPECT_EQ(res.drains_delta, 0u) << tag << ": a scan took a drain barrier";
+    EXPECT_GE(res.scans, opt.scan_quota) << tag;
+  }
+}
+
+TEST(Linearizability, PlantedBugSelfTestScanOracleBites) {
+  // The overlay skip also blinds snapshot(): an owner scan right after an
+  // acknowledged call then reads the worker's stale view, and the scan
+  // oracle must say so.
+  HammerOptions opt;
+  opt.shards = 2;
+  opt.readers = 0;
+  opt.seed = 43;
+  opt.find_quota = 0;
+  opt.scan_quota = 2'000;
+  opt.apply_delay = std::chrono::microseconds(200);
+  opt.plant_bug = true;
+  const auto res = run_hammer(opt);
+  EXPECT_GT(res.scan_violations, 0u)
+      << "planted bug went undetected: the scan oracle does not bite";
 }
 
 TEST(Linearizability, FindPerformsZeroDrainBarriers) {

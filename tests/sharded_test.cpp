@@ -5,6 +5,7 @@
 // invalidation, and the k-way merge_join_k driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -21,12 +22,24 @@
 #include "model_helpers.hpp"
 #include "shard/sharded_dictionary.hpp"
 #include "shuttle/shuttle_tree.hpp"
+#include "storage/durable_dict.hpp"
+#include "storage/fault_env.hpp"
 
 namespace costream {
 namespace {
 
 using shard::ShardedConfig;
 using shard::ShardedDictionary;
+
+// Every shard type the facade hosts must republish through its own
+// publish_view(): without one, snap::publish_view falls back to
+// snapshot(), which collapses the whole staging arena after every job. A
+// wrapper that stops forwarding it fails to compile here.
+template <class D>
+constexpr bool kPublishesView = requires(const D& d) { d.publish_view(); };
+static_assert(kPublishesView<cola::Gcola<>>);
+static_assert(kPublishesView<storage::DurableDictionary>);
+static_assert(kPublishesView<api::AnyDictionary>);
 
 /// Splitters spreading a small [0, universe) key range over S shards.
 std::vector<Key> even_splitters(std::size_t shards, Key universe) {
@@ -326,6 +339,24 @@ TEST(Sharded, PresetsBuildShardedFacade) {
   }
 }
 
+// make_dictionary(kind, {.shards > 1}) wraps every shard in an
+// AnyDictionary. Its publish_view() must reach the wrapped Gcola's
+// per-staging-run view: one segment per run, the older runs' segments
+// reused by the next republish.
+TEST(Sharded, AnyDictionaryShardRepublishesPerStagingRun) {
+  api::AnyDictionary a("cola", cola::Gcola<>(cola::ingest_tuned(4, 64)));
+  std::vector<Entry<>> run;
+  for (Key k = 0; k < 8; ++k) run.push_back(Entry<>{k * 2, k});
+  a.insert_batch(run);
+  const auto v1 = a.publish_view();
+  ASSERT_EQ(v1->segs.size(), 1u);
+  a.insert(1001, 1);
+  const auto v2 = a.publish_view();
+  ASSERT_EQ(v2->segs.size(), 2u);  // no collapse into one staging segment
+  EXPECT_EQ(v2->segs[1].get(), v1->segs[0].get());
+  EXPECT_EQ(v2->segs[0]->size(), 1u);
+}
+
 TEST(Sharded, ConfigValidation) {
   const auto build = [](std::size_t shards, std::vector<Key> splitters) {
     ShardedConfig<> sc;
@@ -362,14 +393,15 @@ TEST(Sharded, WorkerExceptionSurfacesStickyAndTearsDownCleanly) {
   // through Gcola's explicit default constructor and trip -Werror.
   ShardedDictionary<ThrowingDict> d(sc,
                                     [](std::size_t) { return ThrowingDict(); });
-  for (Key k = 0; k < 8; ++k) d.insert(k, k + 1);
-  // find() is barrier-free and may legitimately race ahead of the failure
-  // landing; drain() is the ordered barrier that waits for the worker to
-  // pop (and drop) every job. Either the drain or the find after it must
-  // surface the sticky exception.
+  // The first job fails on its worker, so any insert after it may already
+  // rethrow. find() is barrier-free and may legitimately race ahead of the
+  // failure landing; drain() is the ordered barrier that waits for the
+  // worker to pop (and drop) every job. One of the inserts, the drain or
+  // the find after it must surface the sticky exception.
   bool threw = false;
   std::string what;
   try {
+    for (Key k = 0; k < 8; ++k) d.insert(k, k + 1);
     d.drain();
     (void)d.find(1);
   } catch (const std::runtime_error& e) {
@@ -451,6 +483,127 @@ TEST(Sharded, SnapshotScansSurviveConcurrentIngestStorm) {
   snap.for_each([&](const Key&, const Value&) { ++after; });
   EXPECT_EQ(after, stamped_count);
   EXPECT_EQ(snap.epoch(), stamped_epoch);
+}
+
+// Reader threads scan the LIVE facade (snapshot(), cursor seeks,
+// range_for_each, for_each) while the owner ingests through durable
+// shards: a sliding window of keys, each inserted once and later erased
+// once. Before a scan the reader records how far inserts and erases were
+// acknowledged; after it, how far they were issued. Every key between the
+// issued-erase and acknowledged-insert marks must be in the scan, nothing
+// below the acknowledged-erase mark or past the issued-insert mark may be,
+// and no scan may take a drain barrier. The TSan CI step runs this too.
+TEST(Sharded, DurableShardReaderScanStormStaysInEnvelope) {
+  // Logical index i -> key: alternate shards, ascending within each.
+  constexpr Key kHigh = Key{1} << 40;
+  auto phys = [](std::uint64_t i) { return ((i & 1) != 0 ? kHigh : 0) | (i >> 1); };
+  auto logical = [](Key k) { return ((k & (kHigh - 1)) << 1) | (k >= kHigh ? 1 : 0); };
+  std::vector<storage::FaultInjectionEnv> envs(2);
+  ShardedConfig<> sc;
+  sc.shards = 2;
+  sc.splitters = {kHigh};
+  ShardedDictionary<storage::DurableDictionary> d(sc, [&](std::size_t s) {
+    storage::DurableConfig cfg;
+    cfg.inner = cola::ingest_tuned(4, 32);
+    cfg.group_commit_bytes = 1u << 12;
+    cfg.checkpoint_wal_bytes = 1u << 16;  // checkpoints land mid-storm
+    cfg.spill_depth = 2;
+    return storage::DurableDictionary(envs[s], cfg);
+  });
+
+  std::atomic<std::uint64_t> ins_issued{0}, ins_acked{0};
+  std::atomic<std::uint64_t> del_issued{0}, del_acked{0};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> scans{0}, bad{0};
+  const std::uint64_t drains_before = d.stats().drains;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::vector<std::uint64_t> seen;
+      for (std::uint64_t round = 0; !stop.load(std::memory_order_acquire);
+           ++round) {
+        const std::uint64_t da = del_acked.load(std::memory_order_acquire);
+        const std::uint64_t ia = ins_acked.load(std::memory_order_acquire);
+        seen.clear();
+        auto sink = [&](const Key& k, const Value& v) {
+          if (v != k + 1) bad.fetch_add(1, std::memory_order_relaxed);
+          seen.push_back(logical(k));
+        };
+        switch ((round + static_cast<std::uint64_t>(t)) % 4) {
+          case 0:
+            d.snapshot().for_each(sink);
+            break;
+          case 1: {
+            auto c = d.make_cursor();
+            for (c.seek_first(); c.valid(); c.next()) {
+              sink(c.entry().key, c.entry().value);
+            }
+            break;
+          }
+          case 2:
+            d.range_for_each(0, ~Key{0}, sink);
+            break;
+          default:
+            d.for_each(sink);
+            break;
+        }
+        const std::uint64_t di = del_issued.load(std::memory_order_acquire);
+        const std::uint64_t ii = ins_issued.load(std::memory_order_acquire);
+        std::sort(seen.begin(), seen.end());
+        for (const std::uint64_t i : seen) {
+          if (i < da || i >= ii) bad.fetch_add(1, std::memory_order_relaxed);
+        }
+        for (std::uint64_t i = di; i < ia; ++i) {
+          if (!std::binary_search(seen.begin(), seen.end(), i)) {
+            bad.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        scans.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  // Owner: insert the next keys (singles and batches), erase the oldest
+  // once the window passes 512 keys.
+  Xoshiro256 rng(29);
+  std::vector<Entry<>> ins;
+  std::vector<Key> del;
+  std::uint64_t next = 0, oldest = 0;
+  while (next < 12'000 || scans.load(std::memory_order_relaxed) < 200) {
+    const std::uint64_t n = rng.below(4) == 0 ? 1 : 1 + rng.below(48);
+    ins.clear();
+    for (std::uint64_t i = next; i < next + n; ++i) ins.push_back({phys(i), phys(i) + 1});
+    ins_issued.store(next + n, std::memory_order_release);
+    if (n == 1) {
+      d.insert(ins[0].key, ins[0].value);
+    } else {
+      d.insert_batch(ins);
+    }
+    next += n;
+    ins_acked.store(next, std::memory_order_release);
+    if (next - oldest > 512) {
+      const std::uint64_t m = next - oldest - 512;
+      del.clear();
+      for (std::uint64_t i = oldest; i < oldest + m; ++i) del.push_back(phys(i));
+      del_issued.store(oldest + m, std::memory_order_release);
+      d.erase_batch(del);
+      oldest += m;
+      del_acked.store(oldest, std::memory_order_release);
+    }
+    if (next > 200'000) break;  // a starved reader must not hang the test
+  }
+  const std::uint64_t drains_delta = d.stats().drains - drains_before;
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(bad.load(), 0u) << "a scan left the acknowledged envelope";
+  EXPECT_GE(scans.load(), 200u);
+  EXPECT_EQ(drains_delta, 0u) << "a scan took a drain barrier";
+  // Quiescent: exactly the final window survives.
+  std::uint64_t live = 0;
+  d.for_each([&](const Key&, const Value&) { ++live; });
+  EXPECT_EQ(live, next - oldest);
+  d.check_invariants();
 }
 
 TEST(MergeJoinK, MatchesPairwiseAndModel) {

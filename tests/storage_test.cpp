@@ -569,6 +569,109 @@ DurableConfig small_config() {
   return cfg;
 }
 
+// ---------------------------------------------------- republication ----
+//
+// A sharded facade republishes each shard after every applied job through
+// snap::publish_view, which takes DurableDictionary::publish_view(): the
+// inner COLA's per-staging-run view. These pin down that it is the same
+// data snapshot() serves, that a republish reuses what did not change,
+// and that the run mirrors carry Bloom filters exactly when configured.
+
+std::vector<Entry<>> read_view(
+    std::shared_ptr<const snap::SnapshotData<Key, Value>> data) {
+  std::vector<Entry<>> out;
+  snap::SnapshotCursor<Key, Value> c(std::move(data));
+  for (c.seek_first(); c.valid(); c.next()) out.push_back(c.entry());
+  return out;
+}
+
+/// One insert_batch of n keys first, first+2, ... (one staging run).
+void insert_run(DurableDictionary& d, std::uint64_t first, std::size_t n) {
+  std::vector<Entry<>> es;
+  for (std::size_t i = 0; i < n; ++i) es.push_back({first + 2 * i, first + i});
+  d.insert_batch(es);
+}
+
+TEST(DurableDict, PublishViewReadsLikeSnapshot) {
+  FaultInjectionEnv env;
+  DurableDictionary d(env, small_config());
+  // Deep levels first, then staged runs that overwrite and erase them.
+  for (std::uint64_t i = 0; i < 1500; ++i) d.insert(i, i);
+  d.flush_stage();
+  insert_run(d, 100, 40);
+  for (std::uint64_t i = 0; i < 30; ++i) d.erase(i * 7);
+  insert_run(d, 1001, 9);
+  d.insert(5000, 1);
+  ASSERT_GT(d.inner().stage_run_count(), 1u);
+  const auto pub = d.publish_view();
+  const auto snap = d.snapshot();
+  EXPECT_EQ(pub->epoch, snap.epoch());
+  const std::vector<Entry<>> want = read_view(snap.data());
+  EXPECT_EQ(read_view(pub), want);
+  EXPECT_EQ(want.size(), 1500u - 30u + 1u);
+  // The published view keeps one segment per staging run, where the
+  // snapshot collapses the arena into one.
+  EXPECT_EQ(pub->segs.size(),
+            snap.segments().size() - 1 + d.inner().stage_run_count());
+}
+
+TEST(DurableDict, RepublishReusesUnchangedStagingRuns) {
+  FaultInjectionEnv env;
+  DurableDictionary d(env, small_config());
+  insert_run(d, 0, 8);
+  insert_run(d, 1000, 4);
+  ASSERT_EQ(d.inner().stage_run_count(), 2u);
+  const auto v1 = d.publish_view();
+  ASSERT_EQ(v1->segs.size(), 2u);  // newest run first, no levels yet
+
+  // A singleton behind a larger run: appended, nothing merged.
+  d.insert(5000, 1);
+  ASSERT_EQ(d.inner().stage_run_count(), 3u);
+  const auto v2 = d.publish_view();
+  ASSERT_EQ(v2->segs.size(), 3u);
+  EXPECT_EQ(v2->segs[1].get(), v1->segs[0].get());
+  EXPECT_EQ(v2->segs[2].get(), v1->segs[1].get());
+
+  // A second singleton: the counter merge folds the two 1-entry runs into
+  // one 2-entry run. Only that tail is re-minted.
+  d.insert(5001, 2);
+  ASSERT_EQ(d.inner().stage_run_count(), 3u);
+  const auto v3 = d.publish_view();
+  ASSERT_EQ(v3->segs.size(), 3u);
+  EXPECT_NE(v3->segs[0].get(), v2->segs[0].get());
+  EXPECT_EQ(v3->segs[0]->size(), 2u);
+  EXPECT_EQ(v3->segs[1].get(), v2->segs[1].get());
+  EXPECT_EQ(v3->segs[2].get(), v2->segs[2].get());
+
+  // Republishing an unmutated dictionary mints nothing.
+  const auto v4 = d.publish_view();
+  ASSERT_EQ(v4->segs.size(), v3->segs.size());
+  for (std::size_t i = 0; i < v3->segs.size(); ++i) {
+    EXPECT_EQ(v4->segs[i].get(), v3->segs[i].get()) << i;
+  }
+}
+
+TEST(DurableDict, StagingRunSegmentsCarryFilterIffConfigured) {
+  for (const bool filters : {false, true}) {
+    FaultInjectionEnv env;
+    DurableConfig cfg = small_config();
+    cfg.inner.filters = filters;
+    DurableDictionary d(env, cfg);
+    for (std::uint64_t i = 0; i < 1500; ++i) d.insert(i, i);
+    d.flush_stage();
+    insert_run(d, 100, 40);
+    d.insert(5000, 1);
+    const std::size_t runs = d.inner().stage_run_count();
+    ASSERT_GT(runs, 1u);
+    const auto v = d.publish_view();
+    ASSERT_GT(v->segs.size(), runs);
+    for (std::size_t i = 0; i < runs; ++i) {
+      EXPECT_EQ(!v->segs[i]->filter.empty(), filters)
+          << "staging run " << i << " filters=" << filters;
+    }
+  }
+}
+
 TEST(DurableDict, PersistsAcrossReopen) {
   FaultInjectionEnv env;
   {
