@@ -119,7 +119,6 @@
 #include "cola/kernels.hpp"
 #include "common/entry.hpp"
 #include "common/filter.hpp"
-#include "common/loser_tree.hpp"
 #include "common/simd.hpp"
 #include "common/snapshot.hpp"
 #include "common/span.hpp"
@@ -174,18 +173,20 @@ struct ColaConfig {
   // reference kernels — the ablation/differential-testing knob; the
   // COSTREAM_SIMD env var further clamps the whole process.
   bool simd = true;
-  // Background compaction (tiered mode only): deep folds run on the
-  // process-shared compaction pool (cola/compactor.hpp) instead of the
-  // mutating thread — the writer snapshots the fold's input segment refs,
-  // enqueues, and returns; the finished output installs at the writer's
-  // next mutation, BELOW any segments that arrived at the target level
-  // after the snapshot point (newest-first order is preserved). 0 keeps
-  // every fold inline (the historical synchronous behavior). Active only
-  // under the null memory model: the counting DAM models are stateful LRU
-  // simulators whose transfer counts depend on touch ORDER and which are
-  // not thread-safe, so accounted builds always fold inline — which is
-  // exactly what makes modeled transfers bit-identical to the sync path.
-  // The COSTREAM_COMPACTION=sync env var clamps the whole process inline.
+  // Background compaction (tiered mode only). Every tiered fold is one
+  // compact::FoldJob (cola/compactor.hpp) that the writer plans; this
+  // knob only picks where it runs. With c > 0 the writer submits the job
+  // to the process-shared pool and returns; the finished output installs
+  // at the writer's next mutation, BELOW any segments that arrived at the
+  // target level after the plan (newest-first order is preserved), and a
+  // fold of at least compact::kKwayCutoff entries is range-partitioned
+  // across c workers. 0 runs every job on the writer (the synchronous
+  // behavior). Active only under the null memory model: the counting DAM
+  // models are stateful LRU simulators whose transfer counts depend on
+  // touch ORDER and which are not thread-safe, so accounted builds always
+  // fold inline — which is exactly what makes modeled transfers
+  // bit-identical to the sync path. The COSTREAM_COMPACTION=sync env var
+  // clamps the whole process inline.
   unsigned compaction_threads = 0;
   // Fault-injection knobs for the compaction oracle self-tests (never set
   // outside tests). unsafe_break_install_order appends a finished fold's
@@ -238,12 +239,13 @@ struct ColaStats {
 /// worker mutates), same pattern as the sharded facade's stats.
 struct CompactionStats {
   std::uint64_t folds_deferred = 0;  // folds enqueued to the process pool
-  std::uint64_t writer_assists = 0;  // folds the writer ran inline anyway
-                                     // (queue saturated, overlapping
+  std::uint64_t writer_assists = 0;  // folds the writer ran inline anyway:
+                                     // slot busy, submit rejected, or a
+                                     // queued job claimed back (deeper
                                      // cascade, retention pressure, drain)
   std::uint64_t compaction_queue_peak = 0;  // this structure's high-water
                                             // pool queue depth at submit
-  std::uint64_t bg_fold_ns = 0;  // total wall ns spent inside fold jobs
+  std::uint64_t bg_fold_ns = 0;  // total wall ns inside jobs handed to the pool
 };
 
 template <class K = Key, class V = Value, class MM = dam::null_mem_model>
@@ -270,6 +272,13 @@ class Gcola {
     }
   }
 
+  // Move-only: the inline fold plan's job and the compaction counters are
+  // owned through shared pointers that a copy would alias.
+  Gcola(const Gcola&) = delete;
+  Gcola& operator=(const Gcola&) = delete;
+  Gcola(Gcola&&) = default;
+  Gcola& operator=(Gcola&&) = default;
+
   // -- observers --------------------------------------------------------------
 
   const ColaConfig& config() const noexcept { return cfg_; }
@@ -292,13 +301,13 @@ class Gcola {
   }
 
   /// True while a background fold is in flight or awaiting install.
-  bool compaction_pending() const noexcept { return pending_active_; }
+  bool compaction_pending() const noexcept { return pend_.has_value(); }
 
   /// Complete and install any in-flight background fold (writer thread
   /// only, like every mutator). The quiesce point for checkpoints, shard
   /// drains, bulk loads, and tests that assert on settled structure.
   void drain_compaction() {
-    if (pending_active_) assist_pending();
+    if (pend_) assist_pending();
   }
 
   /// Physical real entries (including not-yet-annihilated tombstones and
@@ -308,7 +317,7 @@ class Gcola {
   std::uint64_t item_count() const noexcept {
     std::uint64_t n = stage_.size();
     for (const Level& lv : levels_) n += lv.real_count;
-    if (pending_active_) n += pend_total_in_;
+    if (pend_) n += pend_->job->total_in;
     return n;
   }
 
@@ -856,47 +865,20 @@ class Gcola {
   /// primitive: with an observer attached at spill_depth <= min_target the
   /// resulting segment (or the empty-output report) reaches storage and
   /// fully represents the dictionary. Returns true when a segment was
-  /// produced (false for an empty dictionary). Tiered mode only.
+  /// produced. An empty dictionary returns false without folding or calling
+  /// the observer, so the caller must reset its own live set (as
+  /// DurableDictionary::checkpoint does); a fold that annihilates to nothing
+  /// also returns false, after reporting its consumed spill ids. Tiered
+  /// mode only.
   bool compact_all(std::size_t min_target = 0) {
     drain_compaction();
     flush_stage();
     drain_compaction();  // the flush itself may have deferred a fold
     ++mutation_epoch_;
+    if (levels_.empty() || item_count() == 0) return false;
     const std::size_t d = deepest_nonempty();
-    if (levels_.empty() || item_count() == 0) {
-      // Nothing to fold; still report consumed-nothing so an attached
-      // observer can reset its live set for an empty dictionary.
-      return false;
-    }
     ++stats_.merges;
-    fold_spans_.clear();
-    gather_spill_consumed(d + 1);
-    std::size_t total = 0;
-    for (std::size_t l = d + 1; l-- > 0;) {
-      const Level& lv = levels_[l];
-      if (lv.real_count == 0) continue;
-      for (std::size_t j = 0; j < lv.segs.size(); ++j) {  // oldest first
-        const Seg& seg = *lv.segs[j];
-        mm_.touch(seg.base_addr, seg.size() * sizeof(TItem));
-        fold_spans_.push_back(kern::RunView<K, V>{
-            seg.keys.data(), seg.vals.data(), seg.flags.data(), seg.size()});
-      }
-      total += lv.real_count;
-    }
-    collapse_fold_spans(total);
-    stats_.duplicates_dropped += total - tfold_buf_.size();
-    strip_tombstones(tfold_buf_);
-    for (std::size_t l = 0; l <= d; ++l) clear_level(levels_[l]);
-    bottom_relocated_ = false;
-    if (tfold_buf_.empty()) {
-      report_empty_fold(min_target);
-      return false;
-    }
-    std::size_t target = std::max(d, min_target);
-    while (real_cap(target) < tfold_buf_.size()) ++target;
-    ensure_level(target);
-    append_segment(target, tfold_buf_);
-    return true;
+    return fold_levels(FoldKind::kCheckpoint, d + 1, std::max(d, min_target));
   }
 
   // -- verification -----------------------------------------------------------
@@ -1082,24 +1064,24 @@ class Gcola {
         throw std::logic_error("cola: level stale count drift");
       }
     }
-    if (pending_active_) {
-      if (pend_job_ == nullptr) {
+    if (pend_) {
+      if (pend_->job == nullptr) {
         throw std::logic_error("cola: pending fold without a job");
       }
-      if (pend_target_ >= levels_.size()) {
+      if (pend_->target >= levels_.size()) {
         throw std::logic_error("cola: pending fold targets missing level");
       }
-      if (pend_prior_segs_ > levels_[pend_target_].segs.size()) {
+      if (pend_->prior_segs > levels_[pend_->target].segs.size()) {
         throw std::logic_error("cola: pending install point out of range");
       }
       std::uint64_t in_total = 0;
-      for (const SegRef& s : pend_job_->inputs) {
+      for (const SegRef& s : pend_->job->inputs) {
         if (s == nullptr || s->size() == 0) {
           throw std::logic_error("cola: pending fold input invalid");
         }
         in_total += s->size();
       }
-      if (in_total != pend_total_in_) {
+      if (in_total != pend_->job->total_in) {
         throw std::logic_error("cola: pending fold mass drift");
       }
     }
@@ -1351,16 +1333,16 @@ class Gcola {
       // The pending fold's target level reads as three recency bands:
       // post-snapshot arrivals (newest), then the fold's input segments,
       // then the segments that predate the fold — the exact order the
-      // install will freeze (output lands at pend_prior_segs_, below the
-      // arrivals). Reads are coherent mid-flight without any barrier.
-      if (pending_active_ && l == pend_target_) {
+      // install will freeze (output lands at the plan's prior_segs, below
+      // the arrivals). Reads are coherent mid-flight without any barrier.
+      if (pend_ && l == pend_->target) {
         const Level& lv = levels_[l];
-        const std::size_t prior = std::min(pend_prior_segs_, lv.segs.size());
+        const std::size_t prior = std::min(pend_->prior_segs, lv.segs.size());
         if (find_in_segs(lv.segs.data() + prior, lv.segs.size() - prior, key,
                          h, result)) {
           return result;
         }
-        if (find_in_segs(pend_job_->inputs.data(), pend_job_->inputs.size(),
+        if (find_in_segs(pend_->job->inputs.data(), pend_->job->inputs.size(),
                          key, h, result)) {
           return result;
         }
@@ -1459,8 +1441,8 @@ class Gcola {
   /// passes — for batch feeds that is log2(g) passes over cache-resident
   /// data instead of a log2(capacity)-pass sort.
   void normalize_stage() {
-    kern::collapse_runs(stage_, stage_runs_, tfold_tmp_, stage_runs_scratch_,
-                        isa_, &last_collapse_final_dups_);
+    kern::collapse_runs(stage_, stage_runs_, stage_tmp_, stage_runs_scratch_,
+                        isa_, nullptr);
   }
 
   /// Widen an Entry run onto the plane buffer, appending to `out` — the one
@@ -1494,11 +1476,11 @@ class Gcola {
       const std::size_t newer = stage_.size() - b2;
       if (older > newer) break;
       kern::merge_into(stage_.subview(b1, b2), stage_.subview(b2, stage_.size()),
-                       tfold_tmp_, isa_);
-      const std::size_t w = tfold_tmp_.size();
-      std::copy_n(tfold_tmp_.keys.data(), w, stage_.keys.begin() + b1);
-      std::copy_n(tfold_tmp_.vals.data(), w, stage_.vals.begin() + b1);
-      std::copy_n(tfold_tmp_.flags.data(), w, stage_.flags.begin() + b1);
+                       stage_tmp_, isa_);
+      const std::size_t w = stage_tmp_.size();
+      std::copy_n(stage_tmp_.keys.data(), w, stage_.keys.begin() + b1);
+      std::copy_n(stage_tmp_.vals.data(), w, stage_.vals.begin() + b1);
+      std::copy_n(stage_tmp_.flags.data(), w, stage_.flags.begin() + b1);
       stage_.resize(b1 + w);
       stage_runs_.pop_back();
       stage_run_min_.pop_back();
@@ -1630,15 +1612,15 @@ class Gcola {
   /// Level occupancy including the in-flight fold's (pre-dedup) mass.
   std::uint64_t level_mass(std::size_t l) const noexcept {
     std::uint64_t m = levels_[l].real_count;
-    if (pending_active_ && l == pend_target_) m += pend_total_in_;
+    if (pend_ && l == pend_->target) m += pend_->job->total_in;
     return m;
   }
 
-  /// level_full plus the pending fold's future segment: its install appends
-  /// one segment to pend_target_, so the level reads as full one earlier.
+  /// level_full plus the pending fold's future segment: its install adds
+  /// one segment to its target, so the level reads as full one earlier.
   bool level_committed_full(std::size_t t) const noexcept {
     if (level_full(t)) return true;
-    return pending_active_ && t == pend_target_ &&
+    return pend_ && t == pend_->target &&
            levels_[t].segs.size() + 1 >= cfg_.growth - 1;
   }
 
@@ -1653,7 +1635,7 @@ class Gcola {
     // assist when no worker has finished it yet) and re-pick the target
     // with real occupancy. This is the one ordering barrier the background
     // engine keeps: data never moves DEEPER past a pending install point.
-    if (pending_active_ && t > pend_target_) {
+    if (pend_ && t > pend_->target) {
       assist_pending();
       t = select_cascade_target(incoming);
     }
@@ -1699,7 +1681,7 @@ class Gcola {
     }
     ensure_level(t);
     ++stats_.merges;
-    if (!try_defer_fold(t)) cascade_into_tiered(t);
+    fold_levels(FoldKind::kCascade, t, t);
     maybe_fold_bottom_tombstones();
   }
 
@@ -1777,7 +1759,7 @@ class Gcola {
     // clear the pressure (or move the deepest level) entirely. Re-enter
     // with the settled state; the pending slot is now free, so the second
     // pass cannot loop.
-    if (pending_active_) {
+    if (pend_) {
       assist_pending();
       maybe_fold_bottom_tombstones();
       return;
@@ -1786,110 +1768,160 @@ class Gcola {
     ++stats_.forced_bottom_folds;
     if (!tombstone_pressure(d)) ++stats_.staleness_folds;
     // The forced fold is the retention policy's correctness valve, but it
-    // is still just a fold over immutable segments — defer it too, at
+    // is still just a fold over immutable segments — it defers too, at
     // `forced` priority (jumps the pool queue, never rejected for depth).
-    if (try_defer_forced_fold()) return;
-    // Gather spans oldest -> newest: deeper level = older, within a level
-    // the first segment is oldest (same order as the cascade fold).
-    fold_spans_.clear();
-    std::size_t total = 0;
-    for (std::size_t l = d + 1; l-- > 0;) {
+    // Levels 0..d together hold up to g/(g-1) * real_cap(d) items, so a
+    // fold that annihilates little can exceed the deepest level's own
+    // capacity: the output lands in the shallowest level at or below d
+    // that fits it (usually d; one deeper in the adversarial no-duplicates
+    // case) — sized at install for an inline fold, and to the pre-dedup
+    // mass at plan time for a deferred one.
+    fold_levels(FoldKind::kForced, d + 1, d);
+  }
+
+  // -- the fold path -----------------------------------------------------------
+  //
+  // Every tiered fold (cascade, forced retention, checkpoint) is one
+  // compact::FoldJob: plan_fold builds it on the writer, the job collapses
+  // and strips, and install lands the output. Inline and background folds
+  // differ only in where the job runs. Inline: on the writer, installed at
+  // once. Background (tiered, compaction_threads > 0, null memory model):
+  // the writer submits the job to the process pool and keeps it as the one
+  // pending fold; every mutator entry polls for the finished job and
+  // installs it at the recorded position — BELOW any run that arrived at
+  // the target level after the plan, so recency order is exactly what the
+  // inline fold would have produced. Structural mutation stays
+  // single-writer throughout: the job computes over its own buffers, the
+  // writer does every install.
+
+  enum class FoldKind {
+    kCascade,    // levels 0..t-1 + the incoming run into level t
+    kForced,     // retention pressure: levels 0..d into one deepest segment
+    kCheckpoint  // compact_all: like kForced, but never deferred
+  };
+
+  /// A fold the writer has planned: the job (inputs, strip decision,
+  /// outputs) plus where and how its output lands.
+  struct FoldPlan {
+    std::shared_ptr<compact::FoldJob<K, V>> job;
+    std::size_t target = 0;      // install level
+    std::size_t prior_segs = 0;  // install index: segments below predate it
+    std::uint64_t seg_id = 0;    // reserved output segment id
+    bool credit_staleness = false;  // cascade folds feed the estimator
+    std::vector<std::uint64_t> consumed_ids;  // spilled sources it retires
+  };
+
+  /// Fold levels [0, consumed_hi) — plus the incoming run for a cascade —
+  /// into one segment for level `target`. The job runs on the pool when
+  /// background compaction is on and the pending slot is free (checkpoints
+  /// always run here); otherwise, or when the saturated pool rejects it
+  /// (bounded compaction debt), it runs on the writer now. Returns true
+  /// when a segment installed now.
+  bool fold_levels(FoldKind kind, std::size_t consumed_hi,
+                   std::size_t target) {
+    const bool deferrable = bg_enabled_ && kind != FoldKind::kCheckpoint;
+    const bool defer = deferrable && !pend_;
+    FoldPlan deferred;
+    FoldPlan& plan = defer ? deferred : inline_plan_;
+    plan_fold(plan, kind, consumed_hi, target, defer);
+    if (defer && submit(plan, kind == FoldKind::kForced)) return false;
+    if (deferrable) {
+      cstats_->writer_assists.fetch_add(1, std::memory_order_relaxed);
+    }
+    plan.job->fold();
+    return install(plan, /*keep_buffers=*/!defer);
+  }
+
+  /// The one fold planner. Gathers the inputs oldest -> newest (deeper
+  /// level = older, within a level the first segment is oldest, the
+  /// incoming run newest of all), charging each source's read to the DAM
+  /// model here on the writer; decides the strip; records the consumed
+  /// spill ids; reserves the output segment id; clears the sources; and
+  /// fixes the install point. An inline plan reuses inline_plan_'s job and
+  /// scratch and reads the incoming run in place. A deferred plan gets a
+  /// fresh job that owns copies of the incoming run (incoming_spans_ alias
+  /// writer scratch), and its target grows to fit the pre-dedup mass now,
+  /// because arrivals may stack there before the install.
+  void plan_fold(FoldPlan& plan, FoldKind kind, std::size_t consumed_hi,
+                 std::size_t target, bool defer) {
+    if (plan.job == nullptr) {
+      plan.job = std::make_shared<compact::FoldJob<K, V>>();
+    }
+    compact::FoldJob<K, V>& job = *plan.job;
+    job.isa = isa_;
+    job.mint_filter = cfg_.filters;
+    job.ways = defer ? cfg_.compaction_threads : 1;
+    // A tombstone can be discarded only when no older copy of its key can
+    // exist anywhere — deepest level AND no older segments in the target.
+    // Never while a background fold targets the level: its output is OLDER
+    // than this cascade's data and installs below it, so older copies can
+    // still resurface (deepest_nonempty already counts the pending target;
+    // the explicit clause covers the target itself).
+    job.drop_tombstones =
+        kind != FoldKind::kCascade ||
+        (target >= deepest_nonempty() && levels_[target].real_count == 0 &&
+         !(pend_ && pend_->target == target));
+    std::uint64_t total = 0;
+    for (std::size_t l = consumed_hi; l-- > 0;) {
       const Level& lv = levels_[l];
       if (lv.real_count == 0) continue;
-      for (std::size_t j = 0; j < lv.segs.size(); ++j) {  // oldest first
-        const Seg& seg = *lv.segs[j];
-        mm_.touch(seg.base_addr, seg.size() * sizeof(TItem));
-        fold_spans_.push_back(kern::RunView<K, V>{
-            seg.keys.data(), seg.vals.data(), seg.flags.data(), seg.size()});
+      for (const SegRef& seg : lv.segs) {
+        mm_.touch(seg->base_addr, seg->size() * sizeof(TItem));
+        job.inputs.push_back(seg);
+        job.spans.push_back(kern::RunView<K, V>{
+            seg->keys.data(), seg->vals.data(), seg->flags.data(), seg->size()});
       }
       total += lv.real_count;
     }
-    collapse_fold_spans(total);
-    stats_.duplicates_dropped += total - tfold_buf_.size();
-    strip_tombstones(tfold_buf_);
-    gather_spill_consumed(d + 1);
-    for (std::size_t l = 0; l <= d; ++l) clear_level(levels_[l]);
-    // Levels 0..d together hold up to g/(g-1) * real_cap(d) items, so a
-    // fold that annihilates little can exceed the deepest level's own
-    // capacity — place the output in the shallowest level that fits it
-    // (usually d; one deeper in the adversarial no-duplicates case).
-    std::size_t target = d;
-    while (real_cap(target) < tfold_buf_.size()) ++target;
-    ensure_level(target);
-    append_segment(target, tfold_buf_);
-    if (tfold_buf_.empty()) report_empty_fold(target);
-    // This fold IS a bottom compaction: the next deepest-level drain may
-    // take the trivial move again.
-    bottom_relocated_ = false;
-  }
-
-  // -- background compaction --------------------------------------------------
-  //
-  // One pending fold per structure. The writer snapshots the fold's input
-  // segment refs (immutable, ref-counted), clears the source levels, and
-  // enqueues a FoldJob on the process pool; every mutator entry polls for
-  // the finished job and installs its output segment at the recorded
-  // position — BELOW any run that arrived at the target level after the
-  // snapshot, so recency order is exactly what the synchronous fold would
-  // have produced. Structural mutation stays single-writer throughout: the
-  // job computes over its own buffers, the writer does every install.
-
-  /// Hand the cascade fold for target `t` (levels 0..t-1 + incoming_spans_)
-  /// to the background pool. Returns false when the caller must fold
-  /// inline: background disabled, another fold already in flight, or the
-  /// pool saturated (bounded compaction debt — writer-assist fallback).
-  bool try_defer_fold(std::size_t t) {
-    if (!bg_enabled_ || pending_active_) return false;
-    const bool drop = t >= deepest_nonempty() && levels_[t].real_count == 0;
-    return enqueue_fold(/*consumed_hi=*/t, /*provisional_target=*/t,
-                        /*forced=*/false, drop, /*include_incoming=*/true);
-  }
-
-  /// Forced-priority variant for retention-pressure bottom folds: consumes
-  /// levels 0..deepest, targets the shallowest level whose capacity holds
-  /// the pre-dedup mass (the fold may annihilate little), always strips.
-  bool try_defer_forced_fold() {
-    if (!bg_enabled_ || pending_active_) return false;
-    const std::size_t d = deepest_nonempty();
-    return enqueue_fold(/*consumed_hi=*/d + 1, /*provisional_target=*/d,
-                        /*forced=*/true, /*drop=*/true,
-                        /*include_incoming=*/false);
-  }
-
-  /// Snapshot inputs, reserve the output's identity/address, clear the
-  /// sources, submit. Returns false WITH THE STRUCTURE UNTOUCHED when the
-  /// pool rejects the job. `consumed_hi`: levels [0, consumed_hi) feed the
-  /// fold; `include_incoming` additionally materializes incoming_spans_
-  /// (which alias reusable scratch) into immutable segments the job owns.
-  bool enqueue_fold(std::size_t consumed_hi, std::size_t provisional_target,
-                    bool forced, bool drop, bool include_incoming) {
-    auto job = std::make_shared<compact::FoldJob<K, V>>();
-    job->drop_tombstones = drop;
-    job->mint_filter = cfg_.filters;
-    job->isa = isa_;
-    job->ways = cfg_.compaction_threads;
-    std::uint64_t total = 0;
-    for (std::size_t l = consumed_hi; l-- > 0;) {  // deeper level = older
-      const Level& lv = levels_[l];
-      if (lv.real_count == 0) continue;
-      for (const SegRef& s : lv.segs) job->inputs.push_back(s);
-      total += lv.real_count;
-    }
-    if (include_incoming) {
+    if (kind == FoldKind::kCascade) {
       for (const kern::RunView<K, V>& s : incoming_spans_) {
         if (s.n == 0) continue;
-        job->inputs.push_back(snap::make_segment<K, V>(
+        total += s.n;
+        if (!defer) {
+          job.spans.push_back(s);
+          continue;
+        }
+        job.inputs.push_back(snap::make_segment<K, V>(
             std::vector<K>(s.keys, s.keys + s.n),
             std::vector<V>(s.vals, s.vals + s.n),
             std::vector<std::uint8_t>(s.flags, s.flags + s.n),
             /*id=*/0, /*base_addr=*/0, mutation_epoch_));
-        total += s.n;
+        const Seg& seg = *job.inputs.back();
+        job.spans.push_back(kern::RunView<K, V>{
+            seg.keys.data(), seg.vals.data(), seg.flags.data(), seg.size()});
       }
     }
-    if (total == 0) return false;
-    std::size_t target = provisional_target;
-    while (real_cap(target) < total) ++target;  // pre-dedup capacity bound
-    ensure_level(target);
+    job.total_in = total;
+    if (defer) {
+      while (real_cap(target) < total) ++target;
+      ensure_level(target);
+    }
+    plan.target = target;
+    plan.credit_staleness = kind == FoldKind::kCascade;
+    plan.seg_id = next_seg_id_++;
+    plan.consumed_ids.clear();
+    if (fold_observer_ != nullptr) {
+      for (std::size_t l = spill_depth_; l < consumed_hi && l < levels_.size();
+           ++l) {
+        for (const SegRef& seg : levels_[l].segs) {
+          plan.consumed_ids.push_back(seg->id);
+        }
+      }
+    }
+    for (std::size_t l = 0; l < consumed_hi; ++l) clear_level(levels_[l]);
+    // After the clear, so a fold whose target sits INSIDE the consumed
+    // range records install position 0 (its output is the oldest data the
+    // level will ever hold again).
+    plan.prior_segs = target < levels_.size() ? levels_[target].segs.size() : 0;
+    // This fold IS a bottom compaction: the next deepest-level drain may
+    // take the trivial move again.
+    if (job.drop_tombstones) bottom_relocated_ = false;
+  }
+
+  /// Hand a planned fold to the pool; on success it becomes the pending
+  /// fold. False when the pool rejects it (the caller then runs it).
+  bool submit(FoldPlan& plan, bool forced) {
+    std::shared_ptr<compact::FoldJob<K, V>> job = plan.job;
     std::uint64_t depth = 0;
     if (!compact::Pool::instance().submit(
             [job] {
@@ -1898,33 +1930,7 @@ class Gcola {
             forced, &depth)) {
       return false;
     }
-    pend_job_ = std::move(job);
-    pending_active_ = true;
-    pend_target_ = target;
-    pend_consumed_hi_ = consumed_hi;
-    pend_total_in_ = total;
-    pend_forced_ = forced;
-    // Reserve the output segment's identity and logical address region on
-    // the writer thread — the job itself never touches dictionary state.
-    pend_seg_id_ = next_seg_id_++;
-    pend_base_addr_ = next_base_;
-    next_base_ += total * sizeof(TItem);
-    // Consumed spill ids for the install-time observer callback.
-    pend_consumed_ids_.clear();
-    if (fold_observer_ != nullptr) {
-      for (std::size_t l = spill_depth_; l < consumed_hi && l < levels_.size();
-           ++l) {
-        for (const SegRef& s : levels_[l].segs) {
-          pend_consumed_ids_.push_back(s->id);
-        }
-      }
-    }
-    for (std::size_t l = 0; l < consumed_hi; ++l) clear_level(levels_[l]);
-    // After the clear so a forced fold whose target sits INSIDE the
-    // consumed range records install position 0 (the fold is the oldest
-    // data the level will ever hold again).
-    pend_prior_segs_ = levels_[target].segs.size();
-    if (drop) bottom_relocated_ = false;
+    pend_ = std::move(plan);
     cstats_->folds_deferred.fetch_add(1, std::memory_order_relaxed);
     std::uint64_t peak = cstats_->queue_peak.load(std::memory_order_relaxed);
     while (depth > peak && !cstats_->queue_peak.compare_exchange_weak(
@@ -1936,8 +1942,8 @@ class Gcola {
   /// Opportunistic install point at every mutator entry: when the fold has
   /// finished, land its output now. Never blocks.
   void poll_install() {
-    if (!pending_active_ || cfg_.unsafe_defer_install) return;
-    if (!pend_job_->done()) return;
+    if (!pend_ || cfg_.unsafe_defer_install) return;
+    if (!pend_->job->done()) return;
     install_pending();
   }
 
@@ -1946,102 +1952,136 @@ class Gcola {
   /// then install. The one blocking point, and the debt bound: the writer
   /// can never race more than one fold ahead of the compactor.
   void assist_pending() {
-    if (!pending_active_) return;
-    if (pend_job_->try_claim()) {
-      pend_job_->run();
+    if (!pend_) return;
+    if (pend_->job->try_claim()) {
+      pend_->job->run();
       cstats_->writer_assists.fetch_add(1, std::memory_order_relaxed);
-    } else if (!pend_job_->done()) {
-      pend_job_->wait_done();
+    } else if (!pend_->job->done()) {
+      pend_->job->wait_done();
     }
     install_pending();
   }
 
-  /// Land the finished fold's output (writer thread; job must be done).
-  /// The output segment splices in at the recorded install point — BELOW
-  /// every run that arrived after the enqueue snapshot, preserving recency
-  /// order — and the bookkeeping the synchronous fold does inline happens
-  /// here: stats mirror, spill observer (the durable tier's WAL barrier
-  /// thus runs on the writer thread before any reader can see the
-  /// segment), staleness credit, epoch bump. The install releases the
-  /// job's input refs itself, so sources retire (unless a snapshot still
-  /// pins them) right here: the pool's queued closure co-owns the job and
-  /// may drop its reference only some time after the fold reported done.
+  /// Free the pending slot and install its finished fold (writer thread).
   void install_pending() {
-    std::shared_ptr<compact::FoldJob<K, V>> job = std::move(pend_job_);
-    job->inputs.clear();  // the fold finished reading them before done()
-    const std::size_t target = pend_target_;
-    const std::size_t prior = pend_prior_segs_;
-    const std::uint64_t total_in = pend_total_in_;
-    const std::uint64_t seg_id = pend_seg_id_;
-    const std::uint64_t base_addr = pend_base_addr_;
-    const bool forced = pend_forced_;
-    pending_active_ = false;
+    FoldPlan plan = std::move(*pend_);
+    pend_.reset();
+    cstats_->bg_fold_ns.fetch_add(plan.job->fold_ns, std::memory_order_relaxed);
+    install(plan, /*keep_buffers=*/false);
+  }
+
+  /// The one install, for inline and finished background folds alike
+  /// (writer thread; the job has run). Releases the job's input refs, so
+  /// sources retire here unless a snapshot still pins them (a pool job's
+  /// queued closure co-owns the job and may drop its reference only some
+  /// time after the fold reported done). Then: epoch bump and stats; the
+  /// output segment splices in at the recorded install point — BELOW every
+  /// run that arrived after the plan, preserving recency order — at a
+  /// logical address sized to the post-fold output; the spill observer
+  /// fires on this thread (so the durable tier's WAL barrier runs before
+  /// any reader can see the segment), or gets the empty-output report;
+  /// and cascade folds credit the staleness estimator. `keep_buffers`
+  /// copies the output planes so the inline job keeps its warm scratch; a
+  /// background job's planes move into the segment. Returns true when a
+  /// segment landed.
+  bool install(FoldPlan& plan, bool keep_buffers) {
+    compact::FoldJob<K, V>& job = *plan.job;
+    job.inputs.clear();  // the fold finished reading them
+    job.spans.clear();
     ++mutation_epoch_;
-    cstats_->bg_fold_ns.fetch_add(job->fold_ns, std::memory_order_relaxed);
-    kern::RunBuf<K, V>& out = job->out;
-    // Stats mirror of the synchronous fold path.
-    stats_.duplicates_dropped +=
-        total_in - (out.size() + job->tombstones_dropped);
-    stats_.tombstones_dropped += job->tombstones_dropped;
-    last_collapse_final_dups_ = job->final_dups;
-    if (out.empty()) {
+    kern::RunBuf<K, V>& out = job.out;
+    const std::size_t n = out.size();
+    stats_.duplicates_dropped += job.total_in - (n + job.tombstones_dropped);
+    stats_.tombstones_dropped += job.tombstones_dropped;
+    std::size_t target = plan.target;
+    if (n == 0) {
       // Annihilated to nothing — the consumed spilled sources are still
-      // gone; report so the observer retires them (report_empty_fold's
-      // contract, with the id reserved at enqueue).
-      if (fold_observer_ != nullptr && !pend_consumed_ids_.empty()) {
-        fold_observer_->on_segment_spill(seg_id, target, nullptr, 0,
-                                         pend_consumed_ids_.data(),
-                                         pend_consumed_ids_.size());
+      // gone; report so the observer retires them.
+      if (fold_observer_ != nullptr && !plan.consumed_ids.empty()) {
+        fold_observer_->on_segment_spill(plan.seg_id, target, nullptr, 0,
+                                         plan.consumed_ids.data(),
+                                         plan.consumed_ids.size());
       }
-      pend_consumed_ids_.clear();
-      return;
+      return false;
     }
-    const std::size_t out_n = out.size();
-    SegRef seg = snap::make_segment_prefiltered(
-        std::move(out.keys), std::move(out.vals), std::move(out.flags),
-        std::move(job->filter_words), seg_id, base_addr, mutation_epoch_);
+    // An inline fold lands in the shallowest level at or below its planned
+    // target that fits the output (a deferred plan already fits its
+    // pre-dedup mass, so this never moves a background install).
+    while (real_cap(target) < n) ++target;
+    ensure_level(target);
+    const std::uint64_t base = next_base_;
+    next_base_ += n * sizeof(TItem);
+    SegRef seg =
+        keep_buffers
+            ? snap::make_segment_prefiltered(
+                  std::vector<K>(out.keys), std::vector<V>(out.vals),
+                  std::vector<std::uint8_t>(out.flags),
+                  std::move(job.filter_words), plan.seg_id, base,
+                  mutation_epoch_)
+            : snap::make_segment_prefiltered(
+                  std::move(out.keys), std::move(out.vals),
+                  std::move(out.flags), std::move(job.filter_words),
+                  plan.seg_id, base, mutation_epoch_);
+    mm_.touch_write(base, n * sizeof(TItem));
     const Seg& sref = *seg;
     Level& lv = levels_[target];
-    assert(lv.real_count + out_n <= real_cap(target));
+    assert(lv.real_count + n <= real_cap(target));
     const std::size_t pos = cfg_.unsafe_break_install_order
                                 ? lv.segs.size()
-                                : std::min(prior, lv.segs.size());
+                                : std::min(plan.prior_segs, lv.segs.size());
     lv.tomb_count += sref.tombs;
     lv.segs.insert(lv.segs.begin() + static_cast<std::ptrdiff_t>(pos),
                    std::move(seg));
     lv.seg_stale.insert(lv.seg_stale.begin() + static_cast<std::ptrdiff_t>(pos),
                         0);
-    lv.real_count += out_n;
+    lv.real_count += n;
     lv.fills = static_cast<std::uint32_t>(
         std::min<std::size_t>(lv.segs.size(), cfg_.growth - 1));
-    stats_.entries_merged += out_n;
+    stats_.entries_merged += n;
     if (fold_observer_ != nullptr && target >= spill_depth_) {
       spill_items_.clear();
-      spill_items_.reserve(out_n);
-      for (std::size_t i = 0; i < out_n; ++i) {
+      spill_items_.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
         spill_items_.push_back((sref.flags[i] & kFlagTombstone) != 0
                                    ? Op<K, V>::del(sref.keys[i])
                                    : Op<K, V>::put(sref.keys[i], sref.vals[i]));
       }
-      fold_observer_->on_segment_spill(seg_id, target, spill_items_.data(),
+      fold_observer_->on_segment_spill(plan.seg_id, target, spill_items_.data(),
                                        spill_items_.size(),
-                                       pend_consumed_ids_.data(),
-                                       pend_consumed_ids_.size());
+                                       plan.consumed_ids.data(),
+                                       plan.consumed_ids.size());
     }
-    pend_consumed_ids_.clear();
-    // Staleness credit — the same estimator as the inline cascade; the
-    // tail exclusion covers the installed segment AND every newer arrival.
-    if (!forced && job->final_dups > 0) {
-      const std::uint64_t est = job->final_dups;
+    // Staleness estimate, at zero extra I/O: the collapse just counted the
+    // fold's DISTINCT duplicated keys (final_dups) — a measured sample of
+    // how many distinct keys this feed rewrites. A key the feed rewrites
+    // shadows its older copies in the target's older segments and in
+    // deeper levels at the same rate, so credit that count there; the
+    // tail exclusion covers the new segment AND every newer arrival.
+    // Distinct (not total) duplicates is the load-bearing choice: a hot
+    // key repeated a thousand times within a fold shadows at most one deep
+    // copy, and crediting total duplicate mass would force spurious
+    // compactions on hot-set feeds. Pure-growth feeds measure ~0.
+    if (plan.credit_staleness && job.final_dups > 0) {
+      const std::uint64_t est = job.final_dups;
       const K& lo = sref.min_key;
       const K& hi = sref.max_key;
       add_staleness(target, lo, hi, est,
                     /*exclude_tail=*/lv.segs.size() - pos);
+      // The arrival also shadows deeper data. Credit the deepest level —
+      // where retention is bounded only by the forced folds — so small-g
+      // geometries (one segment per level) see churn pressure too. Only
+      // folds COMPARABLE IN SIZE to the deepest level credit it: a shallow
+      // fold re-observes the same hot keys on every drain, and crediting
+      // each observation would recount one shadowed deep copy many times
+      // over (spurious compactions on hot-set feeds); a fold carrying a
+      // quarter of the deepest level's mass has accumulated the distinct
+      // keys of a whole generation — the honest sample.
       const std::size_t d = deepest_nonempty();
-      if (d > target && out_n * 4 >= levels_[d].real_count) {
+      if (d > target && n * 4 >= levels_[d].real_count) {
         add_staleness(d, lo, hi, est, /*exclude_tail=*/0);
       }
     }
+    return true;
   }
 
   /// Push level l's segments newest -> oldest (the snapshot/view priority
@@ -2051,13 +2091,13 @@ class Gcola {
   /// will freeze, so reads are coherent mid-flight without any barrier.
   void push_level_segs(std::size_t l, std::vector<SegRef>& out) const {
     const Level& lv = levels_[l];
-    if (pending_active_ && l == pend_target_) {
-      const std::size_t prior = std::min(pend_prior_segs_, lv.segs.size());
+    if (pend_ && l == pend_->target) {
+      const std::size_t prior = std::min(pend_->prior_segs, lv.segs.size());
       for (std::size_t j = lv.segs.size(); j-- > prior;) {
         out.push_back(lv.segs[j]);
       }
-      for (std::size_t j = pend_job_->inputs.size(); j-- > 0;) {
-        out.push_back(pend_job_->inputs[j]);
+      for (std::size_t j = pend_->job->inputs.size(); j-- > 0;) {
+        out.push_back(pend_->job->inputs[j]);
       }
       for (std::size_t j = prior; j-- > 0;) out.push_back(lv.segs[j]);
       return;
@@ -2152,16 +2192,16 @@ class Gcola {
   }
 
   /// Deepest level holding data — COMMITTED data included: an in-flight
-  /// fold's output will land at pend_target_, so anything at least that
-  /// deep counts (tombstone-drop and trivial-move decisions must treat the
+  /// fold's output will land at its target, so anything at least that deep
+  /// counts (tombstone-drop and trivial-move decisions must treat the
   /// pending mass as already there).
   std::size_t deepest_nonempty() const noexcept {
     for (std::size_t l = levels_.size(); l-- > 0;) {
       if (levels_[l].real_count > 0) {
-        return pending_active_ ? std::max(l, pend_target_) : l;
+        return pend_ ? std::max(l, pend_->target) : l;
       }
     }
-    return pending_active_ ? pend_target_ : 0;
+    return pend_ ? pend_->target : 0;
   }
 
   void merge_into(std::size_t t, const K& key, const V& value, bool tombstone) {
@@ -2169,296 +2209,6 @@ class Gcola {
     cls_acc_.push_back(
         key, value, static_cast<std::uint8_t>(tombstone ? kFlagTombstone : 0u));
     cascade_into_planes(t);
-  }
-
-  /// Tiered cascade: gather the segments of levels 0..t-1 plus `acc` as a
-  /// run list ordered oldest -> newest (deeper level = older; within a
-  /// level the first segment is oldest; `acc` is newest of all), collapse
-  /// it with balanced pairwise rounds (log2(#runs) passes, newest-wins),
-  /// clear the sources, and APPEND the result as a new segment of level t —
-  /// the level's existing segments are untouched, which is the whole point:
-  /// an element is written once per level it passes, not once per merge the
-  /// level receives.
-  void cascade_into_tiered(std::size_t t) {
-    // Collect source spans oldest -> newest: deeper level = older, within a
-    // level the first segment is oldest, and the incoming spans (already
-    // ordered oldest -> newest by the caller) are newest of all.
-    std::vector<kern::RunView<K, V>>& spans = fold_spans_;
-    spans.clear();
-    std::size_t total = 0;
-    for (std::size_t l = t; l-- > 0;) {
-      const Level& lv = levels_[l];
-      if (lv.real_count == 0) continue;
-      for (std::size_t j = 0; j < lv.segs.size(); ++j) {  // oldest first
-        const Seg& seg = *lv.segs[j];
-        mm_.touch(seg.base_addr, seg.size() * sizeof(TItem));
-        spans.push_back(kern::RunView<K, V>{
-            seg.keys.data(), seg.vals.data(), seg.flags.data(), seg.size()});
-      }
-      total += lv.real_count;
-    }
-    for (const kern::RunView<K, V>& s : incoming_spans_) {
-      spans.push_back(s);
-      total += s.n;
-    }
-    // Never drop while a background fold targets this level: its output is
-    // OLDER than this cascade's data and installs below it, so older copies
-    // can still resurface (deepest_nonempty already counts the pending
-    // target; the explicit clause covers t == pend_target_ itself).
-    const bool drop_tombstones =
-        t >= deepest_nonempty() && levels_[t].real_count == 0 &&
-        !(pending_active_ && pend_target_ == t);
-    // This fold IS a bottom compaction: the next deepest-level drain may
-    // take the trivial move again.
-    if (drop_tombstones) bottom_relocated_ = false;
-    collapse_fold_spans(total);
-    const std::size_t merged = tfold_buf_.size();
-    gather_spill_consumed(t);
-    // Sources are cleared only after the fold — the spans read from them.
-    for (std::size_t l = 0; l < t; ++l) clear_level(levels_[l]);
-    stats_.duplicates_dropped += total - merged;
-    // A tombstone can be discarded only when no older copy of its key can
-    // exist anywhere — deepest level AND no older segments in the target.
-    if (drop_tombstones) strip_tombstones(tfold_buf_);
-    append_segment(t, tfold_buf_);
-    if (tfold_buf_.empty()) report_empty_fold(t);
-    // Staleness estimate, at zero extra I/O: the fold's final merge round
-    // just counted its DISTINCT duplicated keys (last_collapse_final_dups_)
-    // — a measured sample of how many distinct keys this feed rewrites. A
-    // key the feed rewrites shadows its older copies in the target's older
-    // segments and in deeper levels at the same rate, so credit that count
-    // there. Distinct (not total) duplicates is the load-bearing choice: a
-    // hot key repeated a thousand times within a fold shadows at most one
-    // deep copy, and crediting total duplicate mass would force spurious
-    // compactions on hot-set feeds. Pure-growth feeds measure ~0.
-    if (!tfold_buf_.empty() && last_collapse_final_dups_ > 0) {
-      const std::uint64_t est = last_collapse_final_dups_;
-      const K& lo = tfold_buf_.keys.front();
-      const K& hi = tfold_buf_.keys.back();
-      add_staleness(t, lo, hi, est, /*exclude_tail=*/1);
-      // The arrival also shadows deeper data. Credit the deepest level —
-      // where retention is bounded only by the forced folds — so small-g
-      // geometries (one segment per level) see churn pressure too. Only
-      // folds COMPARABLE IN SIZE to the deepest level credit it: a shallow
-      // fold re-observes the same hot keys on every drain, and crediting
-      // each observation would recount one shadowed deep copy many times
-      // over (spurious compactions on hot-set feeds); a fold carrying a
-      // quarter of the deepest level's mass has accumulated the distinct
-      // keys of a whole generation — the honest sample.
-      const std::size_t d = deepest_nonempty();
-      if (d > t && tfold_buf_.size() * 4 >= levels_[d].real_count) {
-        add_staleness(d, lo, hi, est, /*exclude_tail=*/0);
-      }
-    }
-  }
-
-  /// Collapse fold_spans_ (sorted runs ordered oldest -> newest, `total`
-  /// elements in all) into one sorted newest-wins run in tfold_buf_. A
-  /// single span copies straight through; past the cache cutoff the one-pass
-  /// loser-tree k-way merge reads and writes each element exactly once (the
-  /// pairwise rounds would stream the whole fold through DRAM log2(#spans)
-  /// times); in cache, balanced pairwise rounds — round zero merges adjacent
-  /// span pairs straight from their source locations, so the gather pass and
-  /// the first merge round are the same pass. Shared by the cascade fold and
-  /// the tombstone-pressure bottom compaction.
-  void collapse_fold_spans(std::size_t total) {
-    const std::vector<kern::RunView<K, V>>& spans = fold_spans_;
-    if (spans.size() == 1) {
-      tfold_buf_.assign(spans[0]);
-      last_collapse_final_dups_ = 0;
-      return;
-    }
-    if (total >= kKwayCutoff) {
-      kway_merge_spans(spans, total, tfold_buf_);
-      return;
-    }
-    kern::RunBuf<K, V>& buf = tfold_buf_;
-    std::vector<std::uint32_t>& runs = fold_runs_;
-    buf.resize(total);
-    runs.clear();
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < spans.size(); i += 2) {
-      runs.push_back(static_cast<std::uint32_t>(w));
-      if (i + 1 >= spans.size()) {  // odd span out: carry over
-        std::copy_n(spans[i].keys, spans[i].n, buf.keys.data() + w);
-        std::copy_n(spans[i].vals, spans[i].n, buf.vals.data() + w);
-        std::copy_n(spans[i].flags, spans[i].n, buf.flags.data() + w);
-        w += spans[i].n;
-        break;
-      }
-      w += kern::merge_pair_newest_wins(
-          spans[i].keys, spans[i].vals, spans[i].flags, spans[i].n,
-          spans[i + 1].keys, spans[i + 1].vals, spans[i + 1].flags,
-          spans[i + 1].n, buf.keys.data() + w, buf.vals.data() + w,
-          buf.flags.data() + w, isa_);
-    }
-    buf.resize(w);
-    // Two spans: the gather round above WAS the final round.
-    if (spans.size() <= 2) last_collapse_final_dups_ = total - w;
-    kern::collapse_runs(buf, runs, tfold_tmp_, fold_runs_scratch_, isa_,
-                        &last_collapse_final_dups_);
-  }
-
-  // Fold totals at or above this run through the one-pass k-way merge
-  // instead of pairwise rounds (elements, ~1.5 MiB of TItems: past L2).
-  static constexpr std::size_t kKwayCutoff = std::size_t{1} << 16;
-
-  /// One-pass k-way merge of the sorted source spans (ordered oldest ->
-  /// newest) into `out`, newest-wins on duplicate keys. A loser tree with
-  /// KEYS CACHED in the internal nodes: each emitted element costs one
-  /// source deref plus log2(#spans) compares on in-cache key copies — no
-  /// pointer chasing on the replay path, which is what makes the big
-  /// DRAM-resident drains bandwidth-bound instead of latency-bound. Ties
-  /// order the NEWER (higher-index) span first, so duplicates of a key pop
-  /// newest-first and dedup is a last-emitted-key compare.
-  void kway_merge_spans(const std::vector<kern::RunView<K, V>>& spans,
-                        std::size_t total, kern::RunBuf<K, V>& out) {
-    out.resize(total);
-    const std::size_t ns = spans.size();
-    kway_pos_.assign(ns, 0);
-    std::size_t tsize = 1;
-    while (tsize < ns) tsize <<= 1;
-    // x beats y when it must pop first: alive, and smaller key — or the
-    // same key from a newer span.
-    const auto beats = [](bool xa, const K& xk, std::uint32_t xi, bool ya,
-                          const K& yk, std::uint32_t yi) {
-      if (!xa) return false;
-      if (!ya) return true;
-      if (xk < yk) return true;
-      if (yk < xk) return false;
-      return xi > yi;
-    };
-    // Bottom-up init: winner arrays over 2*tsize nodes; internal node n
-    // keeps its match's LOSER cached in loser_*_[n].
-    wkey_.assign(2 * tsize, K{});
-    widx_.assign(2 * tsize, 0);
-    walive_.assign(2 * tsize, 0);
-    loser_key_.assign(tsize, K{});
-    loser_idx_.assign(tsize, 0);
-    loser_alive_.assign(tsize, 0);
-    for (std::size_t i = 0; i < ns; ++i) {
-      if (spans[i].n == 0) continue;
-      wkey_[tsize + i] = spans[i].keys[0];
-      widx_[tsize + i] = static_cast<std::uint32_t>(i);
-      walive_[tsize + i] = 1;
-    }
-    for (std::size_t n2 = tsize; n2-- > 1;) {
-      const std::size_t a = 2 * n2, b = 2 * n2 + 1;
-      const bool bwins =
-          beats(walive_[b] != 0, wkey_[b], widx_[b], walive_[a] != 0, wkey_[a], widx_[a]);
-      const std::size_t win = bwins ? b : a, lose = bwins ? a : b;
-      wkey_[n2] = wkey_[win];
-      widx_[n2] = widx_[win];
-      walive_[n2] = walive_[win];
-      loser_key_[n2] = wkey_[lose];
-      loser_idx_[n2] = widx_[lose];
-      loser_alive_[n2] = walive_[lose];
-    }
-    bool wa = walive_[1] != 0;
-    std::uint32_t wi = widx_[1];
-    K* wk = out.keys.data();
-    V* wv = out.vals.data();
-    std::uint8_t* wf = out.flags.data();
-    std::size_t w = 0;
-    // Distinct duplicated keys (a key's drops count once) — the staleness
-    // estimator's input; copies of one key pop adjacently here.
-    std::uint64_t distinct_dups = 0;
-    bool cur_key_dropped = false;
-    while (wa) {
-      const std::size_t p = kway_pos_[wi];
-      const K& k = spans[wi].keys[p];
-      if (w == 0 || wk[w - 1] < k) {
-        wk[w] = k;
-        wv[w] = spans[wi].vals[p];
-        wf[w] = spans[wi].flags[p];
-        ++w;
-        cur_key_dropped = false;
-      } else {  // older duplicate of the key just emitted — dropped
-        if (!cur_key_dropped) {
-          ++distinct_dups;
-          cur_key_dropped = true;
-        }
-      }
-      ++kway_pos_[wi];
-      // Replay the path from this leaf: the new head (or "drained") plays
-      // each cached loser on the way to the root.
-      bool ca = kway_pos_[wi] != spans[wi].n;
-      K ck = ca ? spans[wi].keys[kway_pos_[wi]] : K{};
-      std::uint32_t ci = wi;
-      for (std::size_t n2 = (tsize + wi) >> 1; n2 >= 1; n2 >>= 1) {
-        if (beats(loser_alive_[n2] != 0, loser_key_[n2], loser_idx_[n2], ca, ck, ci)) {
-          std::swap(ck, loser_key_[n2]);
-          std::swap(ci, loser_idx_[n2]);
-          const bool t = ca;
-          ca = loser_alive_[n2] != 0;
-          loser_alive_[n2] = t ? 1 : 0;
-        }
-      }
-      wa = ca;
-      wi = ci;
-    }
-    out.resize(w);
-    last_collapse_final_dups_ = distinct_dups;
-  }
-
-  /// Append `content` as the new (last) segment of level l. Tiered levels
-  /// are left-justified and grow on demand, so this is one amortized
-  /// sequential write with no rewrite of the level's existing segments.
-  /// Landing at or past the spill depth reports the segment (and the
-  /// consumed ids gathered by the fold) to the attached observer.
-  void append_segment(std::size_t l, const kern::RunBuf<K, V>& content) {
-    if (content.empty()) return;
-    Level& lv = levels_[l];
-    assert(lv.real_count + content.size() <= real_cap(l));
-    SegRef seg = new_segment(std::vector<K>(content.keys),
-                             std::vector<V>(content.vals),
-                             std::vector<std::uint8_t>(content.flags));
-    const std::uint64_t seg_id = seg->id;
-    mm_.touch_write(seg->base_addr, content.size() * sizeof(TItem));
-    lv.tomb_count += seg->tombs;
-    lv.segs.push_back(std::move(seg));
-    lv.seg_stale.push_back(0);
-    lv.real_count += content.size();
-    lv.fills = static_cast<std::uint32_t>(
-        std::min<std::size_t>(lv.segs.size(), cfg_.growth - 1));
-    stats_.entries_merged += content.size();
-    if (fold_observer_ != nullptr && l >= spill_depth_) {
-      spill_items_.clear();
-      spill_items_.reserve(content.size());
-      for (std::size_t i = 0; i < content.size(); ++i) {
-        spill_items_.push_back(
-            (content.flags[i] & kFlagTombstone) != 0
-                ? Op<K, V>::del(content.keys[i])
-                : Op<K, V>::put(content.keys[i], content.vals[i]));
-      }
-      fold_observer_->on_segment_spill(seg_id, l, spill_items_.data(),
-                                       spill_items_.size(),
-                                       spill_consumed_.data(),
-                                       spill_consumed_.size());
-    }
-    spill_consumed_.clear();
-  }
-
-  /// Collect the seg_ids of every segment in levels [spill_depth_, n) —
-  /// the previously-observed segments an imminent fold of levels 0..n-1
-  /// will destroy — into spill_consumed_ for the observer callback.
-  void gather_spill_consumed(std::size_t n) {
-    spill_consumed_.clear();
-    if (fold_observer_ == nullptr) return;
-    for (std::size_t l = spill_depth_; l < n && l < levels_.size(); ++l) {
-      for (const SegRef& s : levels_[l].segs) spill_consumed_.push_back(s->id);
-    }
-  }
-
-  /// A fold whose output annihilated to nothing still destroyed its spilled
-  /// sources — report that (items == nullptr) so the observer retires them.
-  void report_empty_fold(std::size_t level) {
-    if (fold_observer_ != nullptr && !spill_consumed_.empty()) {
-      fold_observer_->on_segment_spill(next_seg_id_++, level, nullptr, 0,
-                                       spill_consumed_.data(),
-                                       spill_consumed_.size());
-    }
-    spill_consumed_.clear();
   }
 
   /// Drop the level's segment references. Segments pinned by a live
@@ -2531,42 +2281,13 @@ class Gcola {
     for (std::size_t l = t; l-- > 1;) rebuild_lookahead(l);
   }
 
-  /// Drop tombstones from `run` in place (used when merging into the deepest
-  /// data so no older copy can resurface). Works on Slot and TItem runs.
-  template <class T>
-  void strip_tombstones(std::vector<T>& run) {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < run.size(); ++r) {
-      if (run[r].is_tombstone()) {
-        ++stats_.tombstones_dropped;
-        continue;
-      }
-      run[w++] = run[r];
-    }
-    run.resize(w);
-  }
-
-  /// Plane-form overload for the tiered fold buffers.
-  void strip_tombstones(kern::RunBuf<K, V>& run) {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < run.size(); ++r) {
-      if ((run.flags[r] & kFlagTombstone) != 0) {
-        ++stats_.tombstones_dropped;
-        continue;
-      }
-      run.keys[w] = run.keys[r];
-      run.vals[w] = run.vals[r];
-      run.flags[w] = run.flags[r];
-      ++w;
-    }
-    run.resize(w);
-  }
-
   /// Write `incoming` (plane form) immediately left of the target's
   /// occupied region.
   void prepend_into(std::size_t t, kern::RunBuf<K, V>& incoming,
                     bool drop_tombstones) {
-    if (drop_tombstones) strip_tombstones(incoming);
+    if (drop_tombstones) {
+      stats_.tombstones_dropped += compact::strip_tombstones(incoming);
+    }
     ++stats_.prepend_merges;
     Level& lv = levels_[t];
     const std::uint32_t new_begin =
@@ -2752,20 +2473,11 @@ class Gcola {
   // it rewrites — so a republish costs O(new data), not an arena sort.
   // Mutable: minting happens inside const publish_view().
   mutable std::vector<snap::SegmentRef<K, V>> stage_run_segs_;
-  // Tiered cascade scratch: incoming run spans (prepared by callers of
-  // cascade_run_tiered), gathered source spans, run boundaries, fold
-  // buffers, and the singleton/unstaged run.
-  std::vector<kern::RunView<K, V>> incoming_spans_, fold_spans_;
-  std::vector<std::uint32_t> fold_runs_, fold_runs_scratch_;
-  kern::RunBuf<K, V> tfold_buf_, tfold_tmp_, titem_run_;
-  // Distinct duplicated keys observed by the most recent collapse's final
-  // merge round — the staleness estimator's measured input.
-  std::uint64_t last_collapse_final_dups_ = 0;
-  // k-way merge state (per-span positions + loser-tree node caches).
-  std::vector<std::size_t> kway_pos_;
-  std::vector<K> wkey_, loser_key_;
-  std::vector<std::uint32_t> widx_, loser_idx_;
-  std::vector<std::uint8_t> walive_, loser_alive_;
+  // Tiered cascade inputs: the incoming run's spans (prepared by callers
+  // of cascade_run_tiered, oldest -> newest) and the singleton/unstaged
+  // run; stage_tmp_ is the arena's merge scratch.
+  std::vector<kern::RunView<K, V>> incoming_spans_;
+  kern::RunBuf<K, V> titem_run_, stage_tmp_;
   // Staged-batch normalization scratch (Entry-sized: the narrowest form).
   std::vector<Entry<K, V>> stage_entry_scratch_, stage_entry_sort_scratch_;
   // Mixed-op batch normalization scratch (TItem-sized: tombstone flags ride
@@ -2778,11 +2490,10 @@ class Gcola {
   bool bottom_relocated_ = false;
   // Durable-tier spill hooks: segment identity counter, the attached
   // observer (nullptr = memory-only), the depth at which folds report, and
-  // scratch for the consumed-id list and the Op-form segment contents.
+  // scratch for the Op-form segment contents.
   std::uint64_t next_seg_id_ = 1;
   FoldObserver* fold_observer_ = nullptr;
   std::size_t spill_depth_ = 0;
-  std::vector<std::uint64_t> spill_consumed_;
   std::vector<Op<K, V>> spill_items_;
   // Snapshot cache: snapshot() is a refcount bump while the dictionary is
   // unmutated (snap_epoch_ == mutation_epoch_); the first acquisition after
@@ -2820,21 +2531,12 @@ class Gcola {
   // Resolved at construction: tiered + compaction_threads > 0 + null
   // memory model + no COSTREAM_COMPACTION=sync override.
   bool bg_enabled_ = false;
-  // The single pending-fold slot. pend_target_ is the install level,
-  // pend_prior_segs_ the install index (segments below it predate the
-  // fold), pend_consumed_hi_ the exclusive top of the consumed level
-  // range, pend_total_in_ the PRE-dedup input mass (capacity accounting
-  // and item_count both need the physically-present figure).
-  bool pending_active_ = false;
-  std::shared_ptr<compact::FoldJob<K, V>> pend_job_;
-  std::size_t pend_target_ = 0;
-  std::size_t pend_prior_segs_ = 0;
-  std::size_t pend_consumed_hi_ = 0;
-  std::uint64_t pend_total_in_ = 0;
-  std::uint64_t pend_seg_id_ = 0;
-  std::uint64_t pend_base_addr_ = 0;
-  bool pend_forced_ = false;
-  std::vector<std::uint64_t> pend_consumed_ids_;
+  // The single pending-fold slot (its job's total_in is the PRE-dedup
+  // input mass: capacity accounting and item_count both need the
+  // physically-present figure), and the reusable plan every inline fold
+  // runs through, whose job keeps its warm scratch across folds.
+  std::optional<FoldPlan> pend_;
+  FoldPlan inline_plan_;
   std::shared_ptr<AtomicCompactionStats> cstats_ =
       std::make_shared<AtomicCompactionStats>();
 };

@@ -1,27 +1,31 @@
-// Background compaction engine: the process-shared executor that takes
-// tiered fold work off the mutating thread (cola.hpp enqueues, installs,
-// and keeps every STRUCTURAL mutation on the writer thread — the executor
-// only ever computes over immutable inputs).
+// The tiered COLA's one fold engine, and the process-shared executor that
+// can run it off the mutating thread.
 //
-// Division of labor. A FoldJob is a pure function over ref-counted
-// immutable segments (snap::Segment): the writer snapshots the fold's
-// input segment refs and enqueues; the job runs the same plane-kernel
-// newest-wins collapse the synchronous path uses (cola/kernels.hpp),
-// strips tombstones when the fold lands past all older data, and mints
-// the output's Bloom filter — all without touching the owning Gcola. The
-// writer installs the finished planes as a new segment at its next
-// mutation (an atomic-with-respect-to-readers segment-set swap + epoch
-// bump), so single-writer discipline is preserved end to end and the
-// durable tier's WAL-synced-before-install invariant holds for free: the
-// spill observer still fires on the writer thread, inside a mutator.
+// One fold path. Every tiered fold — the cascade drain, the forced
+// retention fold, the checkpoint — is a FoldJob. The writer plans it
+// (cola.hpp's plan_fold: inputs gathered oldest -> newest with their DAM
+// read charges, the strip decision, the consumed spill ids, the reserved
+// segment id); the job runs collapse() (pairwise rounds below
+// kKwayCutoff, a one-pass loser-tree k-way merge at or above it), strips
+// tombstones when the fold lands past all older data, and mints the
+// output's Bloom filter; the writer installs the output (cola.hpp's
+// install). Inline and background folds differ only in where the job
+// runs: on the writer right away, or on this pool with the install at the
+// writer's next mutation. Either way every STRUCTURAL mutation stays on
+// the writer thread — the job only computes over immutable inputs, never
+// touching the owning Gcola — so single-writer discipline holds end to
+// end and the durable tier's WAL-synced-before-install invariant holds
+// for free: the spill observer still fires on the writer, inside a
+// mutator.
 //
-// Intra-fold parallelism. Large folds are cut at key pivots (taken from
-// the largest input run) into independent sub-ranges: every input span is
-// split at the pivots with a lower_bound per cut, so all copies of a key
-// land in the same sub-range and the newest-wins tie-break (higher span
-// index wins) is preserved per sub-range. Sub-merges run on the pool with
-// the SUBMITTING thread participating (it claims unclaimed sub-tasks), so
-// nested parallelism can never deadlock the pool.
+// Intra-fold parallelism. With ways > 1, a k-way fold is cut at key pivots
+// (taken from the largest input run) into independent sub-ranges: every
+// input span is split at the pivots with a lower_bound per cut, so all
+// copies of a key land in the same sub-range and the newest-wins
+// tie-break (higher span index wins) is preserved per sub-range.
+// Sub-merges run on the pool with the SUBMITTING thread participating (it
+// claims unclaimed sub-tasks), so nested parallelism can never deadlock
+// the pool.
 //
 // One pool per process. Every Gcola — including the S shards of a
 // ShardedDictionary — shares Pool::instance(), sized to the LARGEST
@@ -54,6 +58,7 @@
 
 #include "cola/kernels.hpp"
 #include "common/filter.hpp"
+#include "common/loser_tree.hpp"
 #include "common/simd.hpp"
 #include "common/snapshot.hpp"
 
@@ -211,34 +216,41 @@ class Pool {
   std::uint64_t queue_peak_ = 0;
 };
 
+// Folds of at least this many input elements run the one-pass k-way merge
+// (~1.5 MiB of 24-byte items: past L2, where pairwise rounds would stream
+// the whole fold through DRAM log2(#spans) times); smaller folds run
+// pairwise rounds in cache. The same size gates range partitioning: below
+// it the partition bookkeeping costs more than it buys.
+inline constexpr std::size_t kKwayCutoff = std::size_t{1} << 16;
+
+/// Reusable collapse scratch. The writer's inline job keeps one across
+/// folds, so its merges stop allocating once capacities reach their high
+/// water; every background job and every range part owns its own, so
+/// concurrent merges never share buffers.
+template <class K, class V>
+struct FoldScratch {
+  kern::RunBuf<K, V> tmp;
+  std::vector<std::uint32_t> runs, runs_scratch;
+  LoserTree<K> tree;
+  std::vector<std::size_t> pos;
+};
+
 namespace detail {
 
-/// Serial newest-wins collapse of sorted spans (ordered oldest -> newest)
-/// into `out` — the same gather-then-pairwise-rounds shape the synchronous
-/// fold uses in cache, with caller-owned scratch so concurrent sub-merges
-/// never share buffers. `final_dups` receives the final round's drop count
-/// (the distinct-duplicated-keys sample the staleness estimator consumes).
+/// Balanced pairwise rounds: round zero merges adjacent span pairs straight
+/// from their source locations (so the gather pass and the first merge
+/// round are the same pass), then kern::collapse_runs halves the run count
+/// per round. Returns the final round's drop count — keys present in both
+/// of its inputs, at most the fold's distinct duplicated keys.
 template <class K, class V>
-void collapse_spans_serial(const std::vector<kern::RunView<K, V>>& spans,
-                           std::size_t total, simd::Isa isa,
-                           kern::RunBuf<K, V>& out, kern::RunBuf<K, V>& tmp,
-                           std::vector<std::uint32_t>& runs,
-                           std::vector<std::uint32_t>& runs_scratch,
-                           std::uint64_t* final_dups) {
-  if (final_dups != nullptr) *final_dups = 0;
-  if (spans.empty()) {
-    out.clear();
-    return;
-  }
-  if (spans.size() == 1) {
-    out.assign(spans[0]);
-    return;
-  }
+std::uint64_t collapse_pairwise(const std::vector<kern::RunView<K, V>>& spans,
+                                std::size_t total, simd::Isa isa,
+                                kern::RunBuf<K, V>& out, FoldScratch<K, V>& s) {
   out.resize(total);
-  runs.clear();
+  s.runs.clear();
   std::size_t w = 0;
   for (std::size_t i = 0; i < spans.size(); i += 2) {
-    runs.push_back(static_cast<std::uint32_t>(w));
+    s.runs.push_back(static_cast<std::uint32_t>(w));
     if (i + 1 >= spans.size()) {  // odd span out: carry over
       std::copy_n(spans[i].keys, spans[i].n, out.keys.data() + w);
       std::copy_n(spans[i].vals, spans[i].n, out.vals.data() + w);
@@ -253,36 +265,100 @@ void collapse_spans_serial(const std::vector<kern::RunView<K, V>>& spans,
         out.flags.data() + w, isa);
   }
   out.resize(w);
-  if (spans.size() <= 2 && final_dups != nullptr) *final_dups = total - w;
-  kern::collapse_runs(out, runs, tmp, runs_scratch, isa, final_dups);
+  // Two spans: the gather round above WAS the final round.
+  std::uint64_t dups = spans.size() <= 2 ? total - w : 0;
+  kern::collapse_runs(out, s.runs, s.tmp, s.runs_scratch, isa, &dups);
+  return dups;
+}
+
+/// One-pass k-way merge on the cached-key loser tree: each emitted element
+/// costs one source read plus log2(#spans) compares on in-cache key copies,
+/// so big DRAM-resident folds are bandwidth-bound, not latency-bound. Leaf
+/// i holds span n-1-i: the tree breaks key ties toward the smaller leaf,
+/// i.e. the NEWER span, so a key's copies pop newest-first and dedup is a
+/// last-emitted-key compare. Returns the exact number of distinct
+/// duplicated keys (a key's drops count once).
+template <class K, class V>
+std::uint64_t collapse_kway(const std::vector<kern::RunView<K, V>>& spans,
+                            std::size_t total, kern::RunBuf<K, V>& out,
+                            FoldScratch<K, V>& s) {
+  const std::size_t ns = spans.size();
+  out.resize(total);
+  s.pos.assign(ns, 0);
+  s.tree.reset(ns);
+  for (std::size_t leaf = 0; leaf < ns; ++leaf) {
+    const kern::RunView<K, V>& sp = spans[ns - 1 - leaf];
+    if (sp.n != 0) s.tree.declare(leaf, sp.keys[0]);
+  }
+  s.tree.build();
+  K* wk = out.keys.data();
+  V* wv = out.vals.data();
+  std::uint8_t* wf = out.flags.data();
+  std::size_t w = 0;
+  std::uint64_t distinct_dups = 0;
+  bool cur_key_dropped = false;
+  while (s.tree.top_alive()) {
+    const std::size_t leaf = s.tree.top();
+    const kern::RunView<K, V>& sp = spans[ns - 1 - leaf];
+    std::size_t& p = s.pos[leaf];
+    const K& k = sp.keys[p];
+    if (w == 0 || wk[w - 1] < k) {
+      wk[w] = k;
+      wv[w] = sp.vals[p];
+      wf[w] = sp.flags[p];
+      ++w;
+      cur_key_dropped = false;
+    } else if (!cur_key_dropped) {  // older copy of the key just emitted
+      ++distinct_dups;
+      cur_key_dropped = true;
+    }
+    ++p;
+    if (p != sp.n) {
+      s.tree.replay(true, sp.keys[p]);
+    } else {
+      s.tree.replay(false, K{});
+    }
+  }
+  out.resize(w);
+  return distinct_dups;
+}
+
+/// Single-threaded collapse: a lone span copies straight through.
+template <class K, class V>
+std::uint64_t collapse_serial(const std::vector<kern::RunView<K, V>>& spans,
+                              std::size_t total, bool kway, simd::Isa isa,
+                              kern::RunBuf<K, V>& out, FoldScratch<K, V>& s) {
+  if (spans.size() <= 1) {
+    out.clear();
+    if (!spans.empty()) out.assign(spans[0]);
+    return 0;
+  }
+  return kway ? collapse_kway(spans, total, out, s)
+              : collapse_pairwise(spans, total, isa, out, s);
 }
 
 }  // namespace detail
 
-// Folds at least this large consider the range-partitioned parallel merge
-// (elements; below it the partition bookkeeping costs more than it buys).
-inline constexpr std::size_t kParallelFoldCutoff = std::size_t{1} << 16;
-
-/// Newest-wins k-way fold of `spans` (ordered oldest -> newest, `total`
-/// elements in all) into `out`. When `ways > 1` and the fold is large, the
-/// key range is cut at pivots drawn from the largest span into up to
-/// `ways` disjoint sub-ranges — every span split at the same pivots by
-/// lower_bound, so all copies of a key share a sub-range and per-range
-/// span order (and therefore the newest-wins tie-break) is untouched —
-/// merged independently on the pool, and the output planes stitched back
-/// in key order. `final_dups` sums the sub-merges' distinct-duplicate
-/// samples (keys never straddle a cut, so the sum is the same statistic
-/// the serial fold reports).
+/// THE fold collapse: newest-wins merge of sorted `spans` (ordered oldest
+/// -> newest, `total` elements in all) into `out`. Returns the fold's
+/// duplicate sample for the staleness estimator: the exact count of
+/// distinct duplicated keys on the k-way path, a lower bound of it on the
+/// pairwise path. The shape follows from the fold's size and `ways` alone:
+///   * total < kKwayCutoff: pairwise rounds;
+///   * otherwise the k-way merge, and with ways > 1 the key range is first
+///     cut at pivots drawn from the largest span into up to `ways` disjoint
+///     sub-ranges — every span split at the same pivots by lower_bound, so
+///     all copies of a key share a sub-range and the newest-wins tie-break
+///     is untouched — merged independently on the pool and stitched back
+///     in key order. Keys never straddle a cut, so the parts' samples sum
+///     to the serial merge's.
 template <class K, class V>
-void fold_spans(const std::vector<kern::RunView<K, V>>& spans,
-                std::size_t total, unsigned ways, simd::Isa isa,
-                kern::RunBuf<K, V>& out, std::uint64_t* final_dups) {
-  kern::RunBuf<K, V> tmp;
-  std::vector<std::uint32_t> runs, runs_scratch;
-  if (ways <= 1 || total < kParallelFoldCutoff || spans.size() < 2) {
-    detail::collapse_spans_serial(spans, total, isa, out, tmp, runs,
-                                  runs_scratch, final_dups);
-    return;
+std::uint64_t collapse(const std::vector<kern::RunView<K, V>>& spans,
+                       std::size_t total, unsigned ways, simd::Isa isa,
+                       kern::RunBuf<K, V>& out, FoldScratch<K, V>& scratch) {
+  const bool kway = total >= kKwayCutoff;
+  if (!kway || ways <= 1 || spans.size() < 2) {
+    return detail::collapse_serial(spans, total, kway, isa, out, scratch);
   }
   // Pivots: evenly spaced keys of the largest span (the best single proxy
   // for the fold's key distribution). Equal pivots collapse, so skewed
@@ -297,51 +373,43 @@ void fold_spans(const std::vector<kern::RunView<K, V>>& spans,
     if (pivots.empty() || pivots.back() < k) pivots.push_back(k);
   }
   if (pivots.empty()) {
-    detail::collapse_spans_serial(spans, total, isa, out, tmp, runs,
-                                  runs_scratch, final_dups);
-    return;
+    return detail::collapse_serial(spans, total, kway, isa, out, scratch);
   }
   const std::size_t parts = pivots.size() + 1;
-  // cuts[s][p]: first index of span s belonging to part p (cuts[s][0] = 0,
-  // cuts[s][parts] = n). lower_bound at each pivot sends every copy of the
-  // pivot key right, uniformly across spans.
-  std::vector<std::vector<std::size_t>> cuts(spans.size());
-  for (std::size_t s = 0; s < spans.size(); ++s) {
-    cuts[s].resize(parts + 1);
-    cuts[s][0] = 0;
-    cuts[s][parts] = spans[s].n;
-    for (std::size_t p = 0; p < pivots.size(); ++p) {
-      cuts[s][p + 1] = static_cast<std::size_t>(
-          std::lower_bound(spans[s].keys, spans[s].keys + spans[s].n,
-                           pivots[p]) -
-          spans[s].keys);
-    }
-  }
   struct Part {
     std::vector<kern::RunView<K, V>> spans;
     std::size_t total = 0;
-    kern::RunBuf<K, V> out, tmp;
-    std::vector<std::uint32_t> runs, runs_scratch;
+    kern::RunBuf<K, V> out;
+    FoldScratch<K, V> scratch;
     std::uint64_t dups = 0;
   };
   std::vector<Part> part(parts);
-  for (std::size_t p = 0; p < parts; ++p) {
-    for (std::size_t s = 0; s < spans.size(); ++s) {
-      const std::size_t b = cuts[s][p], e = cuts[s][p + 1];
-      if (b == e) continue;  // empty sub-span; order of the rest is kept
-      part[p].spans.push_back(kern::RunView<K, V>{
-          spans[s].keys + b, spans[s].vals + b, spans[s].flags + b, e - b});
-      part[p].total += e - b;
+  // lower_bound at each pivot sends every copy of the pivot key right,
+  // uniformly across spans; empty sub-spans are skipped, the rest keep
+  // their recency order.
+  for (const kern::RunView<K, V>& sp : spans) {
+    std::size_t b = 0;
+    for (std::size_t p = 0; p < parts; ++p) {
+      const std::size_t e =
+          p + 1 < parts
+              ? static_cast<std::size_t>(
+                    std::lower_bound(sp.keys, sp.keys + sp.n, pivots[p]) -
+                    sp.keys)
+              : sp.n;
+      if (b != e) {
+        part[p].spans.push_back(kern::RunView<K, V>{
+            sp.keys + b, sp.vals + b, sp.flags + b, e - b});
+        part[p].total += e - b;
+      }
+      b = e;
     }
   }
   std::vector<std::function<void()>> tasks;
   tasks.reserve(parts);
-  for (std::size_t p = 0; p < parts; ++p) {
-    Part* pp = &part[p];
-    tasks.push_back([pp, isa] {
-      detail::collapse_spans_serial(pp->spans, pp->total, isa, pp->out,
-                                    pp->tmp, pp->runs, pp->runs_scratch,
-                                    &pp->dups);
+  for (Part& pp : part) {
+    tasks.push_back([&pp, isa] {
+      pp.dups = detail::collapse_serial(pp.spans, pp.total, /*kway=*/true,
+                                        isa, pp.out, pp.scratch);
     });
   }
   Pool::instance().run_batch(tasks);
@@ -359,33 +427,75 @@ void fold_spans(const std::vector<kern::RunView<K, V>>& spans,
     std::copy_n(pp.out.flags.data(), pp.out.size(), out.flags.data() + at);
     at += pp.out.size();
   }
-  if (final_dups != nullptr) *final_dups = dups;
+  return dups;
 }
 
-/// One deferred fold: immutable inputs snapshotted by the writer, outputs
-/// owned by the job, and a tiny claimed/done state machine so a saturated
-/// or impatient writer can claim the job and run it inline (writer
-/// assist) without racing the pool worker. The job NEVER touches the
-/// owning structure: it reads ref-counted segments and writes only its
-/// own buffers, so it is safe regardless of what the writer does —
-/// including destroying the structure (the pool's shared_ptr keeps the
-/// job alive; its segment refs keep the inputs alive).
+/// THE tombstone strip: drop tombstones from `run` in place (used when a
+/// fold lands past all older data, so no older copy can resurface).
+/// Returns how many were dropped.
+template <class K, class V>
+std::uint64_t strip_tombstones(kern::RunBuf<K, V>& run) {
+  constexpr std::uint8_t kTomb =
+      static_cast<std::uint8_t>(snap::Item<K, V>::kFlagTombstone);
+  std::size_t w = 0;
+  for (std::size_t r = 0; r < run.size(); ++r) {
+    if ((run.flags[r] & kTomb) != 0) continue;
+    run.keys[w] = run.keys[r];
+    run.vals[w] = run.vals[r];
+    run.flags[w] = run.flags[r];
+    ++w;
+  }
+  const std::uint64_t dropped = run.size() - w;
+  run.resize(w);
+  return dropped;
+}
+
+/// Every tiered fold. The writer fills the plan half (pinned input
+/// segments, the spans to read, the strip decision) and then either calls
+/// fold() itself — an inline fold — or submits run() to the pool. The job
+/// NEVER touches the owning structure: it reads its spans and writes only
+/// its own buffers, so a pool-run job is safe regardless of what the
+/// writer does — including destroying the structure (the pool's shared_ptr
+/// keeps the job alive; its segment refs keep the inputs alive). A tiny
+/// claimed/done state machine lets a saturated or impatient writer claim a
+/// queued job and run it itself (writer assist) without racing the worker.
 template <class K, class V>
 class FoldJob {
  public:
-  // -- writer-filled inputs (immutable once enqueued) --
-  std::vector<snap::SegmentRef<K, V>> inputs;  // oldest -> newest
+  // -- writer-filled plan (immutable while the fold runs) --
+  std::vector<snap::SegmentRef<K, V>> inputs;  // pinned sources, oldest first
+  // What the fold reads, oldest -> newest: the inputs' planes, then — on a
+  // writer-run fold only — borrowed views of the incoming run.
+  std::vector<kern::RunView<K, V>> spans;
+  std::size_t total_in = 0;  // sum of the spans' sizes (pre-dedup mass)
   bool drop_tombstones = false;
   bool mint_filter = false;
   simd::Isa isa = simd::Isa::kScalar;
   unsigned ways = 1;  // intra-fold sub-merge parallelism
 
-  // -- job-filled outputs (valid after done()) --
+  // -- fold outputs (valid after fold() / done()) --
   kern::RunBuf<K, V> out;
   std::vector<std::uint64_t> filter_words;
   std::uint64_t final_dups = 0;
   std::uint64_t tombstones_dropped = 0;
   std::uint64_t fold_ns = 0;
+
+  /// Collapse, strip when planned, and mint the output's Bloom filter.
+  void fold() {
+    const auto t0 = std::chrono::steady_clock::now();
+    final_dups = collapse(spans, total_in, ways, isa, out, scratch_);
+    tombstones_dropped = drop_tombstones ? strip_tombstones(out) : 0;
+    filter_words.clear();
+    if constexpr (filt::filter_hashable_v<K>) {
+      if (mint_filter && !out.empty()) {
+        filter_words = filt::build_filter(out.keys.data(), out.keys.size());
+      }
+    }
+    fold_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  }
 
   /// Exactly one runner wins the claim (pool worker vs assisting writer).
   bool try_claim() {
@@ -404,28 +514,9 @@ class FoldJob {
     cv_.wait(lk, [&] { return state_.load(std::memory_order_acquire) == 2; });
   }
 
-  /// Execute the fold. Caller must hold the claim.
+  /// fold() under the claim protocol. Caller must hold the claim.
   void run() {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<kern::RunView<K, V>> spans;
-    spans.reserve(inputs.size());
-    std::size_t total = 0;
-    for (const snap::SegmentRef<K, V>& seg : inputs) {
-      spans.push_back(kern::RunView<K, V>{seg->keys.data(), seg->vals.data(),
-                                          seg->flags.data(), seg->size()});
-      total += seg->size();
-    }
-    fold_spans(spans, total, ways, isa, out, &final_dups);
-    if (drop_tombstones) strip();
-    if constexpr (filt::filter_hashable_v<K>) {
-      if (mint_filter && !out.empty()) {
-        filter_words = filt::build_filter(out.keys.data(), out.keys.size());
-      }
-    }
-    fold_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
+    fold();
     {
       std::lock_guard<std::mutex> lk(m_);
       state_.store(2, std::memory_order_release);
@@ -434,23 +525,7 @@ class FoldJob {
   }
 
  private:
-  void strip() {
-    constexpr std::uint8_t kTomb =
-        static_cast<std::uint8_t>(snap::Item<K, V>::kFlagTombstone);
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < out.size(); ++r) {
-      if ((out.flags[r] & kTomb) != 0) {
-        ++tombstones_dropped;
-        continue;
-      }
-      out.keys[w] = out.keys[r];
-      out.vals[w] = out.vals[r];
-      out.flags[w] = out.flags[r];
-      ++w;
-    }
-    out.resize(w);
-  }
-
+  FoldScratch<K, V> scratch_;
   std::atomic<int> state_{0};  // 0 queued, 1 claimed/running, 2 done
   std::mutex m_;
   std::condition_variable cv_;

@@ -4,7 +4,8 @@
 // behind batch normalization, and the balanced pairwise run collapse. The
 // instruction-level primitives (prefix scans, lower bounds, runtime ISA
 // dispatch) live one layer down in common/simd.hpp; this header is the
-// run-shaped algebra cola.hpp composes folds from.
+// run-shaped algebra the fold engine (cola/compactor.hpp) and the staging
+// arena (cola.hpp) are composed from.
 //
 // Layout contract: a run is three parallel planes — keys (sorted), vals,
 // flags — of equal length. Keys being dense is the point: the merge's

@@ -1,15 +1,15 @@
 // Cached-key loser tree — the k-way fusion engine behind the cursor
 // subsystem (every structure's Cursor merges its per-level / per-segment /
-// per-buffer sources through one of these).
+// per-buffer sources through one of these) and behind the tiered COLA's
+// k-way fold merge (cola/compactor.hpp).
 //
 // The tree is externally driven: the caller owns the sources, declares each
 // alive source's current key before build(), and after consuming the winning
 // source's head replays the path from that leaf with the source's new state.
 // Internal nodes cache their match's LOSER (key + source index + liveness),
 // so a replay costs log2(n) compares on in-cache copies with no pointer
-// chasing — the same trick the COLA's fold merge uses, packaged as a
-// reusable object so repeated seeks are allocation-free once the node
-// arrays reach their high-water size.
+// chasing, packaged as a reusable object so repeated seeks and folds are
+// allocation-free once the node arrays reach their high-water size.
 //
 // Tie order: among equal keys the source with the SMALLER index wins.
 // Cursors order their sources newest-first (the staging arena, then levels

@@ -17,11 +17,15 @@
 // structure-specific constant c, the same shape the figure benches print.
 //
 // Background compaction (cola/compactor.hpp) does NOT change any bound
-// here: a deferred fold moves exactly the bytes the inline fold would
-// have moved, just on a pool thread. Under a counting memory model the
-// Gcola runs every fold inline (the engine self-disables for non-null
-// models), so modeled transfers/op are bit-identical with the engine on
-// or off — transfer_bounds_test relies on that equivalence.
+// here. Every tiered fold — cascade, forced retention, checkpoint — is
+// one compact::FoldJob, and inline and deferred folds differ only in where
+// the job runs: a deferred fold moves exactly the bytes the inline fold
+// would have moved, just on a pool thread. The writer charges the fold's
+// reads when it plans the job and the output write when it installs it,
+// at an address sized to the post-fold output. Under a counting memory
+// model the Gcola runs every fold inline (the engine self-disables for
+// non-null models), so modeled transfers/op are bit-identical with the
+// engine on or off — transfer_bounds_test relies on that equivalence.
 #pragma once
 
 #include <algorithm>

@@ -6,7 +6,9 @@
 // engine's contracts directly:
 //
 //   * differential equivalence against the inline (sync) fold path,
-//   * deterministic writer-assist when the pool cannot take the job,
+//   * deterministic writer-assist when the pool cannot take the job, and
+//     writer_assists counting every deferrable fold the writer runs itself,
+//   * the one fold collapse against a newest-wins std::map reference,
 //   * snapshot storms across in-flight folds + the segment leak oracle,
 //   * forced tombstone folds as scheduled compactions,
 //   * CompactionStats counters and the preset/naming threading,
@@ -16,11 +18,12 @@
 //     branch that matches its environment).
 //
 // NOTE on ordering: the process pool is grow-only, so the writer-assist
-// test (which wants exactly ONE pool worker it can block) must run before
+// tests (which want exactly ONE pool worker they can block) must run before
 // any test that constructs a compaction_threads=2 structure. gtest runs
 // tests in declaration order within a file; keep that ordering intact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <future>
@@ -28,6 +31,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/dictionary.hpp"
@@ -35,6 +39,7 @@
 #include "cola/cola.hpp"
 #include "cola/compactor.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/snapshot.hpp"
 #include "dam/dam_mem_model.hpp"
 #include "shard/sharded_dictionary.hpp"
@@ -43,6 +48,7 @@ namespace costream {
 namespace {
 
 using Model = std::map<Key, Value>;
+using View = cola::kern::RunView<Key, Value>;
 
 bool sync_env_forced() {
   const char* e = std::getenv("COSTREAM_COMPACTION");
@@ -139,6 +145,75 @@ TEST(Compaction, WriterAssistWhenPoolIsBusy) {
   expect_matches(d, model, "post-assist contents");
 }
 
+// Declared right after the test above for the same pool-ordering reason.
+// writer_assists counts EVERY deferrable fold a background-enabled writer
+// runs itself, not only a claimed-back job: a fold that trips while
+// another is pending runs inline (the slot is busy), and so does a fold the
+// saturated pool rejects. Both are the inline share the assist ratio has
+// to report.
+TEST(Compaction, WriterAssistsCountEveryInlineFold) {
+  if (sync_env_forced()) GTEST_SKIP() << "COSTREAM_COMPACTION=sync";
+  cola::ColaConfig cfg;
+  cfg.growth = 8;
+  cfg.pointer_density = 0.0;
+  cfg.tiered = true;
+  cfg.compaction_threads = 1;
+  cola::compact::Pool& pool = cola::compact::Pool::instance();
+  // Let the worker finish what earlier tests queued, so the bounded queue
+  // starts empty: one marker task, FIFO behind everything else.
+  std::promise<void> marker;
+  std::future<void> drained = marker.get_future();
+  while (!pool.submit([&marker] { marker.set_value(); }, /*forced=*/false,
+                      nullptr)) {
+    std::this_thread::yield();
+  }
+  drained.wait();
+  std::promise<void> gate;
+  std::shared_future<void> released(gate.get_future());
+  const auto blocker = [released] { released.wait(); };
+  EXPECT_TRUE(pool.submit(blocker, /*forced=*/false, nullptr))
+      << "pool rejected the blocker task";
+
+  // Busy slot. Put 2 folds level 0 into level 1 and defers (the worker is
+  // parked, and unsafe_defer_install keeps the fold pending); put 3 lands
+  // in the emptied level 0; put 4 folds into level 1 again — no deeper
+  // than the pending target, so nothing forces an install and the fold
+  // runs inline beside the pending one.
+  cola::ColaConfig busy_cfg = cfg;
+  busy_cfg.unsafe_defer_install = true;
+  cola::Gcola<> busy(busy_cfg);
+  for (Key k = 1; k <= 2; ++k) busy.insert(k, k);
+  EXPECT_TRUE(busy.compaction_pending()) << "first fold did not defer";
+  EXPECT_EQ(busy.compaction_stats().writer_assists, 0u);
+  for (Key k = 3; k <= 4; ++k) busy.insert(k, k);
+  EXPECT_TRUE(busy.compaction_pending());
+  EXPECT_EQ(busy.compaction_stats().folds_deferred, 1u);
+  EXPECT_EQ(busy.compaction_stats().writer_assists, 1u)
+      << "a fold run inline beside a pending one went uncounted";
+
+  // Rejected submit. With every worker parked, blockers fill the bounded
+  // queue until the pool turns work away; a fresh structure's first fold
+  // then runs inline with its slot free.
+  while (pool.submit(blocker, /*forced=*/false, nullptr)) {
+  }
+  cola::Gcola<> rejected(cfg);
+  for (Key k = 1; k <= 2; ++k) rejected.insert(k, k);
+  EXPECT_FALSE(rejected.compaction_pending());
+  EXPECT_EQ(rejected.compaction_stats().folds_deferred, 0u);
+  EXPECT_EQ(rejected.compaction_stats().writer_assists, 1u)
+      << "a fold the pool rejected went uncounted";
+
+  gate.set_value();
+  busy.drain_compaction();
+  for (Key k = 1; k <= 4; ++k) {
+    EXPECT_EQ(busy.find(k), std::optional<Value>(k)) << "busy find(" << k << ")";
+  }
+  for (Key k = 1; k <= 2; ++k) {
+    EXPECT_EQ(rejected.find(k), std::optional<Value>(k))
+        << "rejected find(" << k << ")";
+  }
+}
+
 TEST(Compaction, BackgroundFoldsDeferAndMatchModel) {
   for (const unsigned g : {2u, 8u}) {
     cola::ColaConfig cfg = cola::ingest_tuned(g, 16);
@@ -168,8 +243,22 @@ TEST(Compaction, SyncAndBackgroundConverge) {
   // point reads, identical settled item counts. (Interleaved reads are
   // covered by the fuzz/linearizability arms; this pins the settled
   // states + per-batch spot probes.)
-  for (const unsigned c : {1u, 2u}) {
-    cola::ColaConfig sync_cfg = cola::ingest_tuned(8, 16);
+  // The g=4 arms hold enough data for a background fold to cross
+  // compact::kKwayCutoff (one fold of ~123k entries into level 9), so the
+  // k-way merge also runs off-thread: serial at c=1, range-partitioned at
+  // c=2.
+  struct Arm {
+    unsigned threads;
+    unsigned growth;
+    std::size_t batch_len;
+    Key universe;
+    std::size_t rounds;
+  };
+  for (const Arm& a :
+       {Arm{1, 8, 48, 4'000, 40}, Arm{2, 8, 48, 4'000, 40},
+        Arm{1, 4, 1'024, 200'000, 30}, Arm{2, 4, 1'024, 200'000, 30}}) {
+    const unsigned c = a.threads;
+    cola::ColaConfig sync_cfg = cola::ingest_tuned(a.growth, 16);
     cola::ColaConfig bg_cfg = sync_cfg;
     bg_cfg.compaction_threads = c;
     cola::Gcola<> sync_d(sync_cfg);
@@ -177,12 +266,12 @@ TEST(Compaction, SyncAndBackgroundConverge) {
     Model model;
     std::uint64_t seed_a = 0xabcd + c, seed_b = seed_a;
     Model model_b;
-    for (std::size_t round = 0; round < 40; ++round) {
-      churn(sync_d, model, seed_a, 8);
-      churn(bg_d, model_b, seed_b, 8);
+    for (std::size_t round = 0; round < a.rounds; ++round) {
+      churn(sync_d, model, seed_a, 8, a.batch_len, a.universe);
+      churn(bg_d, model_b, seed_b, 8, a.batch_len, a.universe);
       // Spot probes WITHOUT draining: reads must agree while folds are
       // potentially in flight on the background instance.
-      for (Key k = 0; k < 4'000; k += 397) {
+      for (Key k = 0; k < a.universe; k += 397) {
         ASSERT_EQ(sync_d.find(k), bg_d.find(k)) << "round " << round;
       }
     }
@@ -368,6 +457,89 @@ TEST(Compaction, DamModeledTransfersBitIdenticalToSync) {
   EXPECT_EQ(sync_d.mm().stats().sequential_transfers,
             bg_d.mm().stats().sequential_transfers);
   EXPECT_EQ(sync_d.item_count(), bg_d.item_count());
+}
+
+TEST(Compaction, FoldCollapseMatchesNewestWinsReference) {
+  // The one fold collapse (plus the strip) against a std::map reference:
+  // spans are applied oldest -> newest, so the map keeps the newest copy
+  // of every key. Sweeps span counts, totals on both sides of kKwayCutoff
+  // (pairwise rounds below it, the k-way merge at or above it), the
+  // range-partitioned k-way merge (ways > 1), and strip on/off. Keys recur
+  // across spans and carry random tombstone flags, so every span shadows
+  // part of the older ones.
+  constexpr std::uint8_t kTomb =
+      static_cast<std::uint8_t>(snap::Item<>::kFlagTombstone);
+  std::uint64_t seed = 0xc011;
+  for (const std::size_t nspans : {1u, 2u, 3u, 7u, 20u}) {
+    for (const Key universe : {Key{3'000}, Key{100'000}}) {
+      // Each span holds each key of the universe with probability p.
+      const double p = std::min(1.0, 1.5 / static_cast<double>(nspans));
+      std::vector<std::vector<Key>> keys(nspans);
+      std::vector<std::vector<Value>> vals(nspans);
+      std::vector<std::vector<std::uint8_t>> flags(nspans);
+      std::size_t total = 0;
+      for (std::size_t s = 0; s < nspans; ++s) {
+        for (Key k = 0; k < universe; ++k) {
+          const std::uint64_t r = splitmix64(seed);
+          if (static_cast<double>(r >> 11) * 0x1p-53 >= p) continue;
+          keys[s].push_back(k);
+          vals[s].push_back(r);
+          flags[s].push_back((r & 3) == 0 ? kTomb : std::uint8_t{0});
+        }
+        total += keys[s].size();
+      }
+      const bool kway = total >= cola::compact::kKwayCutoff;
+      ASSERT_EQ(kway, universe > 50'000) << "total " << total;
+      std::vector<View> spans;
+      std::map<Key, std::pair<Value, std::uint8_t>> ref;
+      std::map<Key, std::size_t> copies;
+      for (std::size_t s = 0; s < nspans; ++s) {
+        ASSERT_FALSE(keys[s].empty());
+        spans.push_back(View{keys[s].data(), vals[s].data(),
+                                  flags[s].data(), keys[s].size()});
+        for (std::size_t i = 0; i < keys[s].size(); ++i) {
+          ref[keys[s][i]] = {vals[s][i], flags[s][i]};
+          ++copies[keys[s][i]];
+        }
+      }
+      std::uint64_t distinct_dups = 0, ref_tombs = 0;
+      for (const auto& [k, n] : copies) distinct_dups += n > 1 ? 1 : 0;
+      for (const auto& [k, vf] : ref) ref_tombs += (vf.second & kTomb) != 0;
+      for (const unsigned ways : {1u, 2u, 4u}) {
+        for (const bool drop : {false, true}) {
+          const std::string what = "spans=" + std::to_string(nspans) +
+                                   " total=" + std::to_string(total) +
+                                   " ways=" + std::to_string(ways) +
+                                   " drop=" + std::to_string(drop);
+          cola::compact::FoldJob<Key, Value> job;
+          job.spans = spans;
+          job.total_in = total;
+          job.ways = ways;
+          job.drop_tombstones = drop;
+          job.isa = simd::active_isa();
+          job.fold();
+          std::vector<Key> want_k;
+          std::vector<Value> want_v;
+          std::vector<std::uint8_t> want_f;
+          for (const auto& [k, vf] : ref) {
+            if (drop && (vf.second & kTomb) != 0) continue;
+            want_k.push_back(k);
+            want_v.push_back(vf.first);
+            want_f.push_back(vf.second);
+          }
+          EXPECT_EQ(job.out.keys, want_k) << what;
+          EXPECT_EQ(job.out.vals, want_v) << what;
+          EXPECT_EQ(job.out.flags, want_f) << what;
+          EXPECT_EQ(job.tombstones_dropped, drop ? ref_tombs : 0u) << what;
+          if (kway) {
+            EXPECT_EQ(job.final_dups, distinct_dups) << what;
+          } else {
+            EXPECT_LE(job.final_dups, distinct_dups) << what;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Compaction, EscapeHatchMatchesEnvironment) {
