@@ -136,11 +136,13 @@
 //     Snapshots taken BEFORE the erase keep serving the old value — that
 //     is the point of them.
 //   * The write-optimized structures honor the equivalence with far fewer
-//     block transfers: the COLA normalizes the whole mixed run once and
-//     carries it in ONE cascaded merge (tombstones ride the cascade exactly
-//     like insertions, per the paper's delete treatment), the shuttle tree
-//     shuttles the run — tombstones included — down its edge buffers in one
-//     pass, and the BRT appends runs to the root buffer a block at a time.
+//     block transfers: every COLA mutator, single ops included (as 1-entry
+//     runs), enters through one arrival routine that normalizes the run
+//     once and carries it in ONE staging-arena append or cascaded merge
+//     (tombstones ride the cascade exactly like insertions, per the
+//     paper's delete treatment), the shuttle tree shuttles the run —
+//     tombstones included — down its edge buffers in one pass, and the BRT
+//     appends runs to the root buffer a block at a time.
 //     In-place structures (B-tree, CO B-tree) apply normalized runs
 //     directly, with no tombstones. The deamortized COLAs feed the
 //     normalized run through their budgeted path: tombstones count as moved
@@ -365,7 +367,10 @@ struct DictConfig {
   // applied, deep folds spill checksummed segment files, and reopening the
   // same directory recovers the pre-crash state. Plain types here (no
   // storage-layer includes) keep the API layer's layering: presets.hpp
-  // translates them into a DurableConfig.
+  // translates them into a DurableConfig. Single shard only:
+  // make_dictionary rejects shards > 1 with a durable_dir (the shards
+  // would share one directory); a durable sharded stack is
+  // ShardedDictionary<DurableDictionary> with one directory per shard.
   std::string durable_dir;
   int durable_fsync = 1;  // 0 = every record, 1 = group commit, 2 = never
   std::size_t spill_depth = 6;  // folds at or past this level hit storage

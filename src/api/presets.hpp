@@ -61,8 +61,21 @@ inline shuttle::ShuttleConfig to_shuttle_config(const DictConfig& c) {
 /// sharded reads. Splitters are learned from the first batch (or key-prefix
 /// defaults); pass explicit boundaries by constructing ShardedDictionary
 /// directly.
+///
+/// shards > 1 together with a durable_dir throws std::invalid_argument:
+/// every shard would open the same directory, so their WAL, segment and
+/// MANIFEST files would collide, and learned splitters are not persisted.
+/// A durable sharded stack is ShardedDictionary<DurableDictionary> with
+/// one StorageEnv (directory) per shard and explicit splitters.
 inline AnyDictionary make_dictionary(const std::string& kind,
                                      const DictConfig& cfg = DictConfig{}) {
+  if (cfg.shards > 1 && !cfg.durable_dir.empty()) {
+    throw std::invalid_argument(
+        "make_dictionary: shards > 1 with a durable_dir is unsupported (the "
+        "shards would share one directory); build "
+        "ShardedDictionary<DurableDictionary> with one env per shard and "
+        "explicit splitters");
+  }
   if (cfg.shards > 1) {
     DictConfig inner_cfg = cfg;
     inner_cfg.shards = 1;

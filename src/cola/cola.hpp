@@ -11,14 +11,21 @@
 // elements do not move — the mechanism behind Figure 5's descending-order
 // advantage.
 //
-// Inserts. A level is full after it has received g-1 merges. An insert that
-// cannot go straight into level 0 merges levels 0..t-1 plus the new element
-// into the first non-full level t (one cascading pass: O(k) work and O(k/B)
-// transfers for k items, Lemma 19 generalized to growth g as in the
-// cache-aware tradeoff of Section 3). With g = 2 and p > 0 this is the COLA
-// (O((log N)/B) amortized insert, O(log N) search, Lemmas 19-20); with p = 0
-// it is the "basic COLA" (O(log^2 N) search); with g = Theta(B^eps) it
-// matches the B^eps-tree bounds (see lookahead_array.hpp).
+// Inserts. Every mutator — insert, erase, and the three batch forms —
+// arrives through ONE routine (arrive): the mutator hands over a run sorted
+// by key (a single op is a 1-entry run), which is widened once into plane
+// form and deduplicated newest-wins. A 1-entry run with level 0 empty lands
+// there; any other run merges levels 0..t-1 plus itself into the shallowest
+// level t with room (one cascading pass: O(k) work and O(k/B) transfers for
+// k items, Lemma 19 generalized to growth g as in the cache-aware tradeoff
+// of Section 3). A classic level is full after it has received g-1 merges
+// (or once its occupancy could not absorb another worst-case single-op
+// cascade), a tiered level once it holds g-1 segments.
+// With g = 2 and p > 0 this is the COLA (O((log N)/B) amortized insert,
+// O(log N) search, Lemmas 19-20); with p = 0 it is the "basic COLA"
+// (O(log^2 N) search); with g = Theta(B^eps) it matches the B^eps-tree
+// bounds (see lookahead_array.hpp). A batch of n pays one cascade instead
+// of n.
 //
 // Searches use fractional cascading: each level stores lookahead slots
 // (key + slot index in the next level) interleaved in key order, and every
@@ -32,25 +39,27 @@
 // deletes as tombstoned insertions riding the same cascade — annihilated
 // when a merge reaches the deepest level. erase_batch()/apply_batch()
 // extend the batch contract (api/dictionary.hpp) to deletes and mixed
-// put/erase runs: one normalized run, one cascade, tombstones carried like
-// insertions. Tiered levels additionally keep per-segment live/tombstone
-// counts and bound retention via ColaConfig::tombstone_threshold: past the
-// threshold the deepest level is folded in place (annihilating) and the
-// trivial-move fast path is vetoed, so sustained erase-heavy feeds stay
-// space-bounded.
+// put/erase runs: they arrive exactly like insert_batch runs, tombstones
+// carried like insertions. Tiered levels additionally keep per-segment
+// live/tombstone counts and bound retention via
+// ColaConfig::tombstone_threshold: past the threshold the deepest level is
+// folded in place (annihilating) and the trivial-move fast path is vetoed,
+// so sustained erase-heavy feeds stay space-bounded.
 //
-// Staging L0 (extension). With staging_capacity > 0 the structure keeps an
-// append arena in front of the levels: inserts, erases, and batches land in
-// the arena in O(1) (batches are normalized on arrival, so the arena is a
-// sequence of sorted runs) until it holds staging_capacity entries, at
-// which point the runs are merged once (newest-wins) and carried down by
-// ONE cascaded merge. This breaks the batch movement bound: a feed of
-// batches of size k with an arena of g*k entries pays the deep-merge volume
-// once per g batches instead of once per batch. Reads stay exact — find()
-// binary-searches the arena's runs newest-first before the levels, and the
-// ordered scans merge a sorted view of the arena as the newest source. The
-// cost is the arena probes on a cold find, the classic write-optimization
-// lever (cf. the g = Theta(B^eps) tradeoff).
+// Staging L0 (extension). With staging_capacity > 0 the arrival routine's
+// first route is an append arena in front of the levels: every arriving run
+// (a single op is a 1-entry run) is widened and deduplicated straight onto
+// the arena as one more sorted run, in O(run) work, and a binary-counter
+// tail merge keeps the run count logarithmic under small-run feeds. When
+// the arena holds staging_capacity entries, its runs are merged once
+// (newest-wins) and carried down by ONE cascaded merge. This breaks the
+// batch movement bound: a feed of batches of size k with an arena of g*k
+// entries pays the deep-merge volume once per g batches instead of once per
+// batch. Reads stay exact — find() binary-searches the arena's runs
+// newest-first before the levels, and the ordered scans merge a sorted view
+// of the arena as the newest source. The cost is the arena probes on a cold
+// find, the classic write-optimization lever (cf. the g = Theta(B^eps)
+// tradeoff).
 //
 // Tiered levels (extension, the ingest-tuned cascade core). The classic
 // cascade rewrites a level's whole contents on every merge it receives, so
@@ -217,7 +226,8 @@ inline ColaConfig ingest_tuned(unsigned g, std::size_t batch_hint = 1024) {
 
 struct ColaStats {
   std::uint64_t merges = 0;
-  std::uint64_t batch_merges = 0;     // cascades triggered by insert_batch
+  std::uint64_t batch_merges = 0;     // cascades carrying a multi-op run
+                                      // (batch or staging-arena flush)
   std::uint64_t prepend_merges = 0;   // merges that left the target in place
   std::uint64_t entries_merged = 0;   // real entries written by merges
   std::uint64_t tombstones_dropped = 0;
@@ -601,131 +611,65 @@ class Gcola {
   }
 
   // -- mutators ---------------------------------------------------------------
+  //
+  // Every mutator builds its run and makes one call to arrive(), the one
+  // arrival routine: insert/erase a 1-entry run, the batches their whole
+  // (unsorted, duplicate-holding) input.
 
-  void insert(const K& key, const V& value) { put(key, value, /*tombstone=*/false); }
+  /// Upsert (newest wins); O((log N)/B) amortized transfers.
+  void insert(const K& key, const V& value) {
+    titem_batch_.assign(1, TItem{key, value, 0});
+    arrive(titem_batch_, titem_batch_scratch_);
+  }
 
   /// Blind delete (tombstone); O((log N)/B) amortized like insert.
-  void erase(const K& key) { put(key, V{}, /*tombstone=*/true); }
+  void erase(const K& key) {
+    titem_batch_.assign(1, TItem{key, V{}, kFlagTombstone});
+    arrive(titem_batch_, titem_batch_scratch_);
+  }
 
-  /// Bulk upsert (batch contract in api/dictionary.hpp): sort + dedup the
-  /// run once, then execute ONE cascaded merge that carries the whole run
-  /// into the shallowest level with room, instead of n independent cascades.
-  /// A batch of n costs O((n + d)/B) transfers, d = displaced items — the
-  /// bulk movement across block boundaries the paper's analysis is built on.
+  /// Bulk upsert (batch contract in api/dictionary.hpp): the run arrives in
+  /// Entry form (the narrowest element to sort), is sorted and deduped
+  /// once, and is carried in ONE cascaded merge into the shallowest level
+  /// with room instead of n independent cascades. A batch of n costs
+  /// O((n + d)/B) transfers, d = displaced items — the bulk movement across
+  /// block boundaries the paper's analysis is built on.
   void insert_batch(Span<Entry<K, V>> batch) {
-    const Entry<K, V>* data = batch.data();
-    const std::size_t n = batch.size();
-    if (n == 0) return;
-    ++mutation_epoch_;
-    poll_install();
-    // Staging path: normalize the batch while it is small and cache-hot
-    // (sort + newest-wins dedup of k entries, not of the whole arena), then
-    // append it as one sorted run; the cascade only runs when the arena
-    // itself fills, and the flush merges presorted runs instead of sorting
-    // staging_capacity entries from scratch.
-    if (cfg_.staging_capacity > 0) {
-      ensure_stage_base();
-      // Sort in Entry form (half the bytes of a Slot) — duplicates KEPT in
-      // input order — then widen into the arena planes and let the
-      // vectorized keep-last kernel collapse them in place: the newest-wins
-      // result is identical to sort_dedup_newest_wins (stable sort + last
-      // occurrence per key), but the dedup scan runs data-parallel.
-      std::vector<Entry<K, V>>& run = stage_entry_scratch_;
-      run.assign(data, data + n);
-      sort_by_key(run, stage_entry_sort_scratch_);
-      stage_.reserve(std::max(cfg_.staging_capacity, stage_.size() + run.size()));
-      const std::size_t b = stage_.size();
-      stage_runs_.push_back(static_cast<std::uint32_t>(b));
-      append_widened(run.data(), run.data() + run.size(), stage_);
-      stats_.duplicates_dropped += kern::dedup_newest_wins(stage_, b, isa_);
-      stage_run_min_.push_back(stage_.keys[b]);
-      stage_run_max_.push_back(stage_.keys.back());
-      stage_run_segs_.emplace_back();
-      mm_.touch_write(stage_base_ + b * sizeof(TItem),
-                      (stage_.size() - b) * sizeof(TItem));
-      stats_.stage_absorbed += n;
-      // Keep the arena's run count logarithmic under tiny-batch feeds too
-      // (a size-1 insert_batch is a singleton append like put()'s).
-      counter_merge_stage_tail();
-      if (stage_.size() >= cfg_.staging_capacity) flush_stage();
-      return;
-    }
-    ensure_level(0);
-    if (cfg_.tiered) {
-      std::vector<Entry<K, V>>& run = stage_entry_scratch_;
-      run.assign(data, data + n);
-      sort_by_key(run, stage_entry_sort_scratch_);
-      titem_run_.clear();
-      append_widened(run.data(), run.data() + run.size(), titem_run_);
-      stats_.duplicates_dropped += kern::dedup_newest_wins(titem_run_, 0, isa_);
-      ++stats_.batch_merges;
-      incoming_spans_.assign(1, titem_run_.view());
-      cascade_run_tiered(titem_run_.size());
-      return;
-    }
-    std::vector<Slot>& run = scratch_batch_;
-    run.clear();
-    run.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      Slot s{};
-      s.key = data[i].key;
-      s.value = data[i].value;
-      run.push_back(s);
-    }
-    const std::size_t before = run.size();
-    sort_dedup_newest_wins(run, scratch_a_);
-    stats_.duplicates_dropped += before - run.size();
-    // A singleton run with room in level 0 is exactly a single insert.
-    if (run.size() == 1 && !level_full(0)) {
-      put(run[0].key, run[0].value, /*tombstone=*/false);
-      return;
-    }
-    ++stats_.batch_merges;
-    cascade_run(run);
+    if (batch.empty()) return;
+    entry_batch_.assign(batch.data(), batch.data() + batch.size());
+    arrive(entry_batch_, entry_batch_scratch_);
   }
 
   /// Blind bulk delete (batch contract in api/dictionary.hpp): equivalent
   /// to calling erase(keys[i]) for i = 0..n-1 in order, at batch cost — the
-  /// tombstones are normalized into ONE sorted run (duplicate keys collapse
-  /// to a single tombstone) and ride the same staging-arena / cascade path
-  /// as insert_batch. Annihilation happens where it always does: folds past
-  /// all older data strip matched and unmatched tombstones alike, and the
-  /// tombstone-pressure policy bounds how long they may linger (see
-  /// ColaConfig::tombstone_threshold).
+  /// tombstones form ONE sorted run (duplicate keys collapse to a single
+  /// tombstone) and arrive exactly like an insert_batch run. Annihilation
+  /// happens where it always does: folds past all older data strip matched
+  /// and unmatched tombstones alike, and the tombstone-pressure policy
+  /// bounds how long they may linger (see ColaConfig::tombstone_threshold).
   void erase_batch(Span<K> keys) {
-    const std::size_t n = keys.size();
-    if (n == 0) return;
+    if (keys.empty()) return;
     std::vector<TItem>& run = titem_batch_;
     run.clear();
-    run.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      TItem s{};
-      s.key = keys[i];
-      s.flags = kFlagTombstone;
-      run.push_back(s);
-    }
-    apply_normalized(run, n);
+    run.reserve(keys.size());
+    for (const K& k : keys) run.push_back(TItem{k, V{}, kFlagTombstone});
+    arrive(run, titem_batch_scratch_);
   }
 
   /// Mixed put/erase batch (batch contract in api/dictionary.hpp): the LAST
   /// operation on a key within the batch wins — put-vs-erase included — and
   /// the whole batch is newer than everything already present. Identical in
   /// effect to replaying the ops with insert()/erase() one at a time, in one
-  /// normalized run and one cascade.
+  /// run through the same arrival routine.
   void apply_batch(Span<Op<K, V>> ops) {
-    const std::size_t n = ops.size();
-    if (n == 0) return;
+    if (ops.empty()) return;
     std::vector<TItem>& run = titem_batch_;
     run.clear();
-    run.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      TItem s{};
-      s.key = ops[i].key;
-      s.value = ops[i].value;
-      s.flags = ops[i].erase ? kFlagTombstone : 0u;
-      run.push_back(s);
+    run.reserve(ops.size());
+    for (const Op<K, V>& op : ops) {
+      run.push_back(TItem{op.key, op.value, op.erase ? kFlagTombstone : 0u});
     }
-    apply_normalized(run, n);
+    arrive(run, titem_batch_scratch_);
   }
 
   /// Drain the staging arena into the levels (normally automatic when the
@@ -756,7 +700,7 @@ class Gcola {
       stats_.duplicates_dropped += before - stage_.size();
       // The classic cascade consumes plane form directly — no Slot
       // widening pass between the arena and the per-level merges.
-      cls_acc_.assign(stage_.view());
+      acc_.assign(stage_.view());
       cascade_run_planes();
     }
     stage_.clear();
@@ -789,13 +733,12 @@ class Gcola {
     ensure_level(t);
     if (cfg_.tiered) {
       Level& lv = levels_[t];
-      titem_run_.clear();
-      append_widened(sorted.data(), sorted.data() + sorted.size(), titem_run_);
+      acc_.clear();
+      append_widened(sorted.data(), sorted.data() + sorted.size(), acc_);
       clear_level(lv);
-      SegRef seg = new_segment(std::move(titem_run_.keys),
-                               std::move(titem_run_.vals),
-                               std::move(titem_run_.flags));
-      titem_run_.clear();
+      SegRef seg = new_segment(std::move(acc_.keys), std::move(acc_.vals),
+                               std::move(acc_.flags));
+      acc_.clear();
       mm_.touch_write(seg->base_addr, seg->size() * sizeof(TItem));
       lv.segs.assign(1, std::move(seg));
       lv.seg_stale.assign(1, 0);
@@ -1505,81 +1448,93 @@ class Gcola {
     stage_base_set_ = true;
   }
 
-  /// Shared tail of the mixed-op batch mutators: normalize `run` (sort +
-  /// newest-wins dedup; tombstone flags ride along untouched) and route it
-  /// the same way insert_batch routes its runs — staging-arena append,
-  /// tiered cascade, or classic cascade in Slot form. `n_raw` is the
-  /// pre-dedup op count (stats).
-  void apply_normalized(std::vector<TItem>& run, std::size_t n_raw) {
+  /// The one arrival routine behind every mutator. `run` holds the ops in
+  /// input order — Entry form from insert_batch, TItem form (tombstone
+  /// flags riding along) from the rest. A stable sort by key keeps
+  /// duplicates in input order; the run is then widened once into plane
+  /// form — straight onto the staging arena when there is one, else into
+  /// acc_ — where the keep-last kernel collapses duplicates newest-wins,
+  /// and takes exactly one of three routes: append as a staging run
+  /// (flushing a full arena), place a 1-entry run in an empty level 0, or
+  /// cascade into the shallowest level with room (tiered segment fold or
+  /// classic cascade).
+  template <class Item>
+  void arrive(std::vector<Item>& run, std::vector<Item>& sort_scratch) {
     ++mutation_epoch_;
     poll_install();
-    // Stable sort keeps input order among equal keys (duplicates KEPT); the
-    // plane-form keep-last kernel then collapses them after widening — the
-    // identical newest-wins result, with the dedup scan vectorized.
-    sort_by_key(run, titem_batch_scratch_);
-    if (cfg_.staging_capacity > 0) {
+    sort_by_key(run, sort_scratch);
+    const std::size_t n = run.size();
+    const bool staged = cfg_.staging_capacity > 0;
+    if (staged) {
       ensure_stage_base();
-      stage_.reserve(std::max(cfg_.staging_capacity, stage_.size() + run.size()));
-      const std::size_t b = stage_.size();
+      if (stage_.keys.capacity() < cfg_.staging_capacity) {
+        stage_.reserve(cfg_.staging_capacity);
+      }
+    } else {
+      ensure_level(0);
+      acc_.clear();
+    }
+    kern::RunBuf<K, V>& buf = staged ? stage_ : acc_;
+    const std::size_t b = buf.size();
+    append_widened(run.data(), run.data() + n, buf);
+    if (n > 1) stats_.duplicates_dropped += kern::dedup_newest_wins(buf, b, isa_);
+    if (staged) {
       stage_runs_.push_back(static_cast<std::uint32_t>(b));
-      append_widened(run.data(), run.data() + run.size(), stage_);
-      stats_.duplicates_dropped += kern::dedup_newest_wins(stage_, b, isa_);
       stage_run_min_.push_back(stage_.keys[b]);
       stage_run_max_.push_back(stage_.keys.back());
       stage_run_segs_.emplace_back();
       mm_.touch_write(stage_base_ + b * sizeof(TItem),
                       (stage_.size() - b) * sizeof(TItem));
-      stats_.stage_absorbed += n_raw;
-      // Small mixed-op runs must not grow the arena's run count linearly
-      // (find() probes every run): the binary-counter tail merge keeps it
-      // logarithmic, exactly as the single-op put() path does.
+      stats_.stage_absorbed += n;
       counter_merge_stage_tail();
       if (stage_.size() >= cfg_.staging_capacity) flush_stage();
       return;
     }
-    ensure_level(0);
-    titem_run_.clear();
-    append_widened(run.data(), run.data() + run.size(), titem_run_);
-    stats_.duplicates_dropped += kern::dedup_newest_wins(titem_run_, 0, isa_);
-    // A singleton run with room in level 0 is exactly a single op.
-    if (titem_run_.size() == 1 && !level_full(0)) {
-      put(titem_run_.keys[0], titem_run_.vals[0],
-          (titem_run_.flags[0] & kFlagTombstone) != 0);
+    if (acc_.size() == 1 && !level_full(0)) {
+      place_level0();
       return;
     }
+    if (n > 1) ++stats_.batch_merges;
     if (cfg_.tiered) {
-      ++stats_.batch_merges;
-      incoming_spans_.assign(1, titem_run_.view());
-      cascade_run_tiered(titem_run_.size());
-      return;
+      incoming_spans_.assign(1, acc_.view());
+      cascade_run_tiered(acc_.size());
+    } else {
+      cascade_run_planes();
     }
-    ++stats_.batch_merges;
-    cls_acc_.assign(titem_run_.view());
-    cascade_run_planes();
   }
 
-  /// Carry the normalized run `run` (sorted, unique keys, newest overall)
-  /// into the shallowest level with room — the target walk shared by
-  /// insert_batch and the staging-arena flush. Folds every level that is
-  /// full or too small into the cascade until one can absorb the run plus
-  /// everything displaced above it.
-  void cascade_run(std::vector<Slot>& run) {
-    if (run.empty()) return;
-    cls_acc_.clear();
-    cls_acc_.reserve(run.size());
-    for (const Slot& s : run) {
-      cls_acc_.push_back(s.key, s.value,
-                         static_cast<std::uint8_t>(s.flags & kFlagTombstone));
+  /// Land the 1-entry run in acc_ in the empty level 0 — no cascade.
+  void place_level0() {
+    Level& l0 = levels_[0];
+    const std::uint8_t flags = acc_.flags[0];
+    if (cfg_.tiered) {
+      SegRef seg = new_segment(std::vector<K>(1, acc_.keys[0]),
+                               std::vector<V>(1, acc_.vals[0]),
+                               std::vector<std::uint8_t>(1, flags));
+      mm_.touch_write(seg->base_addr, sizeof(TItem));
+      l0.segs.assign(1, std::move(seg));
+      l0.seg_stale.assign(1, 0);
+      l0.tomb_count = (flags & kFlagTombstone) != 0 ? 1 : 0;
+      l0.stale_count = 0;
+    } else {
+      Slot s{};
+      s.key = acc_.keys[0];
+      s.value = acc_.vals[0];
+      s.flags = flags & kFlagTombstone;
+      l0.occ_begin = static_cast<std::uint32_t>(l0.slots.size() - 1);
+      l0.slots[l0.occ_begin] = s;
+      touch_region(0, l0.occ_begin, 1, /*write=*/true);
     }
-    cascade_run_planes();
+    l0.real_count = 1;
+    l0.fills = 1;
   }
 
-  /// Plane-form cascade entry: the incoming run is already in cls_acc_
-  /// (sorted, unique keys, newest overall) — the staging flush and the
-  /// mixed-op batch path land here without a Slot widening pass.
+  /// Classic cascade entry: carry the run in acc_ (sorted, unique keys,
+  /// newest overall, plane form) into the shallowest level that can absorb
+  /// it plus everything displaced above it.
   void cascade_run_planes() {
-    if (cls_acc_.empty()) return;
-    const std::size_t t = select_cascade_target(cls_acc_.size());
+    if (acc_.empty()) return;
+    const std::size_t t = select_cascade_target(acc_.size());
     ensure_level(t);
     cascade_into_planes(t);
   }
@@ -2105,71 +2060,6 @@ class Gcola {
     for (std::size_t j = lv.segs.size(); j-- > 0;) out.push_back(lv.segs[j]);
   }
 
-  void put(const K& key, const V& value, bool tombstone) {
-    ++mutation_epoch_;
-    poll_install();
-    if (cfg_.staging_capacity > 0) {
-      ensure_stage_base();
-      if (stage_.keys.capacity() < cfg_.staging_capacity) {
-        stage_.reserve(cfg_.staging_capacity);
-      }
-      stage_runs_.push_back(static_cast<std::uint32_t>(stage_.size()));
-      stage_run_min_.push_back(key);
-      stage_run_max_.push_back(key);
-      stage_run_segs_.emplace_back();
-      stage_.push_back(key, value,
-                       static_cast<std::uint8_t>(tombstone ? kFlagTombstone : 0u));
-      mm_.touch_write(stage_base_ + (stage_.size() - 1) * sizeof(TItem), sizeof(TItem));
-      counter_merge_stage_tail();
-      ++stats_.stage_absorbed;
-      if (stage_.size() >= cfg_.staging_capacity) flush_stage();
-      return;
-    }
-    ensure_level(0);
-    if (!level_full(0)) {
-      Level& l0 = levels_[0];
-      if (cfg_.tiered) {
-        SegRef seg = new_segment(
-            std::vector<K>(1, key), std::vector<V>(1, value),
-            std::vector<std::uint8_t>(
-                1, static_cast<std::uint8_t>(tombstone ? kFlagTombstone : 0u)));
-        mm_.touch_write(seg->base_addr, sizeof(TItem));
-        l0.segs.assign(1, std::move(seg));
-        l0.seg_stale.assign(1, 0);
-        l0.tomb_count = tombstone ? 1 : 0;
-        l0.stale_count = 0;
-      } else {
-        Slot s{};
-        s.key = key;
-        s.value = value;
-        s.flags = tombstone ? kFlagTombstone : 0u;
-        l0.occ_begin = static_cast<std::uint32_t>(l0.slots.size() - 1);
-        l0.slots[l0.occ_begin] = s;
-        touch_region(0, l0.occ_begin, 1, /*write=*/true);
-      }
-      l0.real_count = 1;
-      l0.fills = 1;
-      return;
-    }
-
-    // Tiered: the target must have segment room AND slot space; reuse the
-    // capacity-aware walk with a singleton run.
-    if (cfg_.tiered) {
-      titem_run_.clear();
-      titem_run_.push_back(
-          key, value, static_cast<std::uint8_t>(tombstone ? kFlagTombstone : 0u));
-      incoming_spans_.assign(1, titem_run_.view());
-      cascade_run_tiered(1);
-      return;
-    }
-    // Find the first non-full target level t; merge levels 0..t-1 + the new
-    // element into it.
-    std::size_t t = 1;
-    while (level_full(t)) ++t;
-    ensure_level(t);
-    merge_into(t, key, value, tombstone);
-  }
-
   /// Extract level l's real entries (lookahead slots skipped) onto the
   /// plane scratch cls_lvl_, so the cascade's per-level merges run on the
   /// SIMD plane kernels instead of a scalar walk over 32-byte AoS slots.
@@ -2204,13 +2094,6 @@ class Gcola {
     return pend_ ? pend_->target : 0;
   }
 
-  void merge_into(std::size_t t, const K& key, const V& value, bool tombstone) {
-    cls_acc_.clear();
-    cls_acc_.push_back(
-        key, value, static_cast<std::uint8_t>(tombstone ? kFlagTombstone : 0u));
-    cascade_into_planes(t);
-  }
-
   /// Drop the level's segment references. Segments pinned by a live
   /// snapshot survive until its last handle drops (deferred free via the
   /// shared_ptr refcount); unpinned ones free here.
@@ -2223,9 +2106,9 @@ class Gcola {
     lv.fills = 0;
   }
 
-  /// Merge cls_acc_ (the newest run: sorted, unique keys, PLANE form)
-  /// together with levels 0..t-1 into level t — the shared engine behind
-  /// the single-op cascade, insert_batch, and the staging flush. The
+  /// Merge acc_ (the newest run: sorted, unique keys, PLANE form)
+  /// together with levels 0..t-1 into level t — the classic engine behind
+  /// every arriving run and the staging flush. The
   /// per-level folds run on the vectorized plane kernels (newest-wins
   /// merge_pair dispatch); only the final write into the target's slot
   /// array returns to Slot form, because that is where the lookahead
@@ -2239,8 +2122,8 @@ class Gcola {
       if (levels_[l].real_count == 0) continue;
       extract_level_planes(l);
       stats_.duplicates_dropped +=
-          kern::merge_into(cls_lvl_.view(), cls_acc_.view(), cls_tmp_, isa_);
-      cls_acc_.swap(cls_tmp_);
+          kern::merge_into(cls_lvl_.view(), acc_.view(), cls_tmp_, isa_);
+      acc_.swap(cls_tmp_);
     }
 
     Level& target = levels_[t];
@@ -2251,12 +2134,12 @@ class Gcola {
     // Prepend fast path: everything incoming sorts strictly before the
     // target's current occupied region, so nothing in the target moves.
     if (cfg_.enable_prepend && target.occ_begin < target.slots.size() &&
-        !cls_acc_.empty() &&
-        cls_acc_.keys.back() < target.slots[target.occ_begin].key &&
-        cls_acc_.size() <= target.occ_begin) {
-      prepend_into(t, cls_acc_, drop_tombstones);
+        !acc_.empty() &&
+        acc_.keys.back() < target.slots[target.occ_begin].key &&
+        acc_.size() <= target.occ_begin) {
+      prepend_into(t, acc_, drop_tombstones);
     } else {
-      full_merge_into(t, cls_acc_, drop_tombstones);
+      full_merge_into(t, acc_, drop_tombstones);
     }
 
     // Fullness tracks merge count AND occupancy: a batch cascade can deliver
@@ -2474,14 +2357,14 @@ class Gcola {
   // Mutable: minting happens inside const publish_view().
   mutable std::vector<snap::SegmentRef<K, V>> stage_run_segs_;
   // Tiered cascade inputs: the incoming run's spans (prepared by callers
-  // of cascade_run_tiered, oldest -> newest) and the singleton/unstaged
-  // run; stage_tmp_ is the arena's merge scratch.
+  // of cascade_run_tiered, oldest -> newest); stage_tmp_ is the arena's
+  // merge scratch.
   std::vector<kern::RunView<K, V>> incoming_spans_;
-  kern::RunBuf<K, V> titem_run_, stage_tmp_;
-  // Staged-batch normalization scratch (Entry-sized: the narrowest form).
-  std::vector<Entry<K, V>> stage_entry_scratch_, stage_entry_sort_scratch_;
-  // Mixed-op batch normalization scratch (TItem-sized: tombstone flags ride
-  // through the sort), reused across erase_batch/apply_batch calls.
+  kern::RunBuf<K, V> stage_tmp_;
+  // Arriving runs and their sort scratch, reused across calls: insert_batch
+  // runs are in Entry form (the narrowest element), every other mutator's
+  // in TItem form (tombstone flags ride through the sort).
+  std::vector<Entry<K, V>> entry_batch_, entry_batch_scratch_;
   std::vector<TItem> titem_batch_, titem_batch_scratch_;
   std::uint64_t stage_base_ = 0;
   bool stage_base_set_ = false;
@@ -2511,12 +2394,13 @@ class Gcola {
   // Merge scratch, reused across inserts so the steady-state insert and
   // batch paths perform zero heap allocations (capacities grow to the
   // high-water mark of the deepest cascade seen, then stay).
-  std::vector<Slot> scratch_a_, scratch_content_, scratch_batch_;
-  // Classic-cascade plane scratch: the widened incoming run (cls_acc_),
-  // the current level's extracted reals (cls_lvl_), and the merge target
-  // (cls_tmp_) — the per-level folds run on the SIMD plane kernels, only
-  // the final target write returns to Slot form.
-  kern::RunBuf<K, V> cls_acc_, cls_lvl_, cls_tmp_;
+  std::vector<Slot> scratch_content_;
+  // Plane scratch: acc_ holds an unstaged structure's arriving run and is
+  // the classic cascade's accumulator; cls_lvl_ takes the current level's
+  // extracted reals and cls_tmp_ is the merge target — the per-level folds
+  // run on the SIMD plane kernels, only the final target write returns to
+  // Slot form.
+  kern::RunBuf<K, V> acc_, cls_lvl_, cls_tmp_;
   // -- background compaction state --------------------------------------------
   // Aggregated compaction counters, relaxed atomics behind a shared_ptr:
   // benches read them while workers add fold time, and the indirection

@@ -80,7 +80,6 @@ struct DurableConfig {
   // for tests that want spills often.
   std::size_t spill_depth = 6;
   std::size_t segment_block_bytes = 4096;
-  std::size_t block_cache_bytes = 1u << 20;
   // Strict mode: throw CorruptionError from recovery instead of degrading
   // to read-only.
   bool strict = false;
@@ -313,7 +312,6 @@ class DurableDictionary {
     Spiller spiller;
     std::unique_ptr<WalWriter> wal;
     std::vector<SegmentMeta> live;
-    BlockCache cache;
     std::uint64_t seqno = 0;
     std::uint64_t covered_seqno = 0;
     std::uint64_t next_wal_no = 0;
@@ -331,8 +329,7 @@ class DurableDictionary {
         : owned_env(std::move(owned)),
           env(&borrowed),
           cfg(c),
-          inner(c.inner),
-          cache(c.block_cache_bytes) {
+          inner(c.inner) {
       spiller.st = this;
       recover();
     }
@@ -341,8 +338,7 @@ class DurableDictionary {
         : owned_env(std::move(owned)),
           env(owned_env.get()),
           cfg(c),
-          inner(c.inner),
-          cache(c.block_cache_bytes) {
+          inner(c.inner) {
       spiller.st = this;
       recover();
     }
@@ -559,7 +555,7 @@ class DurableDictionary {
     }
 
     void replay_segment(const SegmentMeta& s) {
-      SegmentReader r(*env, s.name, s.seg_id, &cache);
+      SegmentReader r(*env, s.name);
       replay_scratch.clear();
       r.for_each_raw([&](const SegmentEntry& e) {
         replay_scratch.push_back((e.flags & kEntryTombstone) != 0

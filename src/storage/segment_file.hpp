@@ -10,23 +10,21 @@
 //
 // Entries are strictly ascending by key across the whole file; flags bit0
 // marks a tombstone. The per-block (min_key, max_key) fences in the footer
-// are the disk analogue of the in-memory fence-key vectors: a cursor seek
-// binary-searches the fences and decodes only the one block that can hold
-// the key. Blocks are decoded through a shared LRU BlockCache so repeated
-// seeks into a hot block cost zero device reads.
+// are the disk analogue of the in-memory fence-key vectors. The one reader
+// is recovery, which streams every block once, in order, through a single
+// reused decode buffer (SegmentReader::for_each_raw).
 //
-// Every read path validates CRCs and structure before trusting a byte;
-// any mismatch throws CorruptionError (never UB on a bit-flipped file).
+// The reader validates CRCs and structure before trusting a byte: the
+// footer and index at open, each block's CRC, count, key order and fences
+// as it streams. Any mismatch throws CorruptionError (never UB on a
+// bit-flipped file).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <list>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/crc32c.hpp"
@@ -206,70 +204,13 @@ class SegmentWriter {
   std::uint64_t total_count_ = 0;
 };
 
-/// Shared LRU cache of decoded blocks, keyed by (file id, block index),
-/// bounded by decoded byte size. Blocks are immutable shared_ptrs, so a
-/// cursor keeps its block alive even across eviction.
-class BlockCache {
- public:
-  using Block = std::vector<SegmentEntry>;
-  using Key = std::pair<std::uint64_t, std::uint32_t>;
-
-  explicit BlockCache(std::size_t capacity_bytes = 1u << 20)
-      : capacity_(capacity_bytes) {}
-
-  std::shared_ptr<const Block> find(const Key& k) {
-    auto it = map_.find(k);
-    if (it == map_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second.where);
-    return it->second.block;
-  }
-
-  void insert(const Key& k, std::shared_ptr<const Block> block) {
-    if (map_.count(k) != 0) return;
-    const std::size_t bytes = block->size() * sizeof(SegmentEntry);
-    lru_.push_front(k);
-    map_.emplace(k, Slot{std::move(block), lru_.begin()});
-    used_ += bytes;
-    while (used_ > capacity_ && !lru_.empty()) {
-      const Key victim = lru_.back();
-      auto vit = map_.find(victim);
-      used_ -= vit->second.block->size() * sizeof(SegmentEntry);
-      map_.erase(vit);
-      lru_.pop_back();
-    }
-  }
-
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
-
- private:
-  struct Slot {
-    std::shared_ptr<const Block> block;
-    std::list<Key>::iterator where;
-  };
-
-  std::size_t capacity_;
-  std::size_t used_ = 0;
-  std::list<Key> lru_;
-  std::map<Key, Slot> map_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
-
-/// Read-side view of one segment file: footer index held in memory,
-/// blocks decoded on demand through the BlockCache, validated end to end.
+/// Read-side view of one segment file: the footer index is validated and
+/// held in memory at open; for_each_raw streams the blocks, validating each
+/// before handing out its entries.
 class SegmentReader {
  public:
-  SegmentReader(StorageEnv& env, const std::string& name,
-                std::uint64_t cache_file_id, BlockCache* cache)
-      : file_(env.open_read(name)),
-        name_(name),
-        cache_file_id_(cache_file_id),
-        cache_(cache) {
+  SegmentReader(StorageEnv& env, const std::string& name)
+      : file_(env.open_read(name)), name_(name) {
     const std::uint64_t fsize = file_->size();
     if (fsize < 8 + seg_detail::kTailBytes) {
       throw CorruptionError("segment " + name + ": file too small");
@@ -324,140 +265,38 @@ class SegmentReader {
   std::uint64_t min_key() const { return blocks_.empty() ? 0 : blocks_.front().min_key; }
   std::uint64_t max_key() const { return blocks_.empty() ? 0 : blocks_.back().max_key; }
 
-  /// Decode block `bi`, via the cache when one is attached.
-  std::shared_ptr<const BlockCache::Block> load_block(std::uint32_t bi) {
-    const BlockCache::Key key{cache_file_id_, bi};
-    if (cache_ != nullptr) {
-      if (auto hit = cache_->find(key)) return hit;
-    }
-    const BlockMeta& m = blocks_[bi];
-    const std::size_t body_bytes = m.count * seg_detail::kEntryBytes;
-    std::string raw(seg_detail::kBlockHeaderBytes + body_bytes, '\0');
-    read_fully(*file_, m.offset, raw.data(), raw.size());
-    const std::uint32_t crc = seg_detail::get_u32(raw.data());
-    const std::uint32_t count = seg_detail::get_u32(raw.data() + 4);
-    const char* body = raw.data() + seg_detail::kBlockHeaderBytes;
-    if (count != m.count || crc32c(body, body_bytes) != crc) {
-      throw CorruptionError("segment " + name_ + ": block CRC mismatch");
-    }
-    auto block = std::make_shared<BlockCache::Block>();
-    block->reserve(m.count);
-    std::uint64_t prev = 0;
-    for (std::uint32_t i = 0; i < m.count; ++i, body += seg_detail::kEntryBytes) {
-      SegmentEntry e{seg_detail::get_u64(body), seg_detail::get_u64(body + 8),
-                     static_cast<std::uint8_t>(body[16])};
-      if (i > 0 && e.key <= prev) {
-        throw CorruptionError("segment " + name_ + ": unsorted block");
-      }
-      prev = e.key;
-      block->push_back(e);
-    }
-    if (block->front().key != m.min_key || block->back().key != m.max_key) {
-      throw CorruptionError("segment " + name_ + ": fence/block mismatch");
-    }
-    if (cache_ != nullptr) cache_->insert(key, block);
-    return block;
-  }
-
-  /// Forward cursor with fence-key accelerated seeks, matching the
-  /// in-memory cursor contract (seek / next / valid / entry). With
-  /// `suppress_tombstones` (the read-path default) deleted keys are
-  /// skipped; recovery iterates raw to preserve newest-wins replay.
-  class Cursor {
-   public:
-    Cursor(SegmentReader& r, bool suppress_tombstones)
-        : r_(&r), suppress_(suppress_tombstones) {}
-
-    /// Position at the first entry with key >= `key`.
-    void seek(std::uint64_t key) {
-      // Fences prune to the single candidate block: the first block whose
-      // max_key admits the key.
-      std::size_t lo = 0, hi = r_->blocks_.size();
-      while (lo < hi) {
-        const std::size_t mid = (lo + hi) / 2;
-        if (r_->blocks_[mid].max_key < key) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo == r_->blocks_.size()) {
-        invalidate();
-        return;
-      }
-      bi_ = static_cast<std::uint32_t>(lo);
-      block_ = r_->load_block(bi_);
-      i_ = static_cast<std::size_t>(
-          std::lower_bound(block_->begin(), block_->end(), key,
-                           [](const SegmentEntry& e, std::uint64_t k) {
-                             return e.key < k;
-                           }) -
-          block_->begin());
-      settle();
-    }
-
-    void seek_first() {
-      if (r_->blocks_.empty()) {
-        invalidate();
-        return;
-      }
-      bi_ = 0;
-      block_ = r_->load_block(0);
-      i_ = 0;
-      settle();
-    }
-
-    void next() {
-      ++i_;
-      settle();
-    }
-
-    bool valid() const noexcept { return block_ != nullptr; }
-    const SegmentEntry& entry() const { return (*block_)[i_]; }
-
-   private:
-    void settle() {
-      for (;;) {
-        while (block_ != nullptr && i_ >= block_->size()) {
-          if (bi_ + 1 >= r_->blocks_.size()) {
-            invalidate();
-            return;
-          }
-          ++bi_;
-          block_ = r_->load_block(bi_);
-          i_ = 0;
-        }
-        if (block_ == nullptr) return;
-        if (suppress_ && ((*block_)[i_].flags & kEntryTombstone) != 0) {
-          ++i_;
-          continue;
-        }
-        return;
-      }
-    }
-
-    void invalidate() {
-      block_ = nullptr;
-      i_ = 0;
-    }
-
-    SegmentReader* r_;
-    bool suppress_;
-    std::uint32_t bi_ = 0;
-    std::size_t i_ = 0;
-    std::shared_ptr<const BlockCache::Block> block_;
-  };
-
-  Cursor make_cursor(bool suppress_tombstones = true) {
-    return Cursor(*this, suppress_tombstones);
-  }
-
-  /// Recovery path: stream every entry (tombstones included) in order.
+  /// Stream every entry (tombstones included) in key order — the recovery
+  /// path. Each block is read and decoded into one reused buffer and
+  /// checked (CRC, count, strictly ascending keys, fences) before any of
+  /// its entries reach `fn`.
   template <class Fn>
   void for_each_raw(Fn&& fn) {
-    for (std::uint32_t bi = 0; bi < blocks_.size(); ++bi) {
-      auto block = load_block(bi);
-      for (const auto& e : *block) fn(e);
+    std::string raw;
+    std::vector<SegmentEntry> block;
+    for (const BlockMeta& m : blocks_) {
+      const std::size_t body_bytes = m.count * seg_detail::kEntryBytes;
+      raw.resize(seg_detail::kBlockHeaderBytes + body_bytes);
+      read_fully(*file_, m.offset, raw.data(), raw.size());
+      const std::uint32_t crc = seg_detail::get_u32(raw.data());
+      const std::uint32_t count = seg_detail::get_u32(raw.data() + 4);
+      const char* body = raw.data() + seg_detail::kBlockHeaderBytes;
+      if (count != m.count || crc32c(body, body_bytes) != crc) {
+        throw CorruptionError("segment " + name_ + ": block CRC mismatch");
+      }
+      block.clear();
+      for (std::uint32_t i = 0; i < m.count; ++i, body += seg_detail::kEntryBytes) {
+        const SegmentEntry e{seg_detail::get_u64(body),
+                             seg_detail::get_u64(body + 8),
+                             static_cast<std::uint8_t>(body[16])};
+        if (!block.empty() && e.key <= block.back().key) {
+          throw CorruptionError("segment " + name_ + ": unsorted block");
+        }
+        block.push_back(e);
+      }
+      if (block.front().key != m.min_key || block.back().key != m.max_key) {
+        throw CorruptionError("segment " + name_ + ": fence/block mismatch");
+      }
+      for (const SegmentEntry& e : block) fn(e);
     }
   }
 
@@ -471,8 +310,6 @@ class SegmentReader {
 
   std::unique_ptr<RandomReadFile> file_;
   std::string name_;
-  std::uint64_t cache_file_id_;
-  BlockCache* cache_;
   std::vector<BlockMeta> blocks_;
   std::uint64_t total_count_ = 0;
 };

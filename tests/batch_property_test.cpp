@@ -7,7 +7,11 @@
 // batch — the batch contract of api/dictionary.hpp under adversarial input.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/dictionary.hpp"
@@ -19,6 +23,7 @@
 #include "cola/deamortized_fc_cola.hpp"
 #include "common/entry.hpp"
 #include "common/rng.hpp"
+#include "dam/dam_mem_model.hpp"
 #include "model_helpers.hpp"
 #include "pma/pma.hpp"
 #include "shuttle/shuttle_tree.hpp"
@@ -272,6 +277,123 @@ TEST(BatchContract, PmaSortedRunBatch) {
   for (auto s = p.first(); s != pma::Pma<Entry<>>::npos; s = p.next(s)) {
     EXPECT_EQ(p.at(s).key, expect * 2);
     ++expect;
+  }
+}
+
+// ------------------------------------------------------- arrival routes --
+
+// Every Gcola mutator enters through one arrival routine, so the route an
+// op stream takes must leave no trace: singles, 1-entry insert_batch /
+// erase_batch, and 1-entry apply_batch give identical modeled transfers,
+// per-level geometry and contents, and so do a multi-entry insert_batch and
+// an apply_batch of the same puts — on all four geometries.
+using DamCola = cola::Gcola<Key, Value, dam::dam_mem_model>;
+
+struct RouteFootprint {
+  std::uint64_t transfers = 0;
+  std::vector<std::uint64_t> level_reals;
+  std::vector<std::size_t> level_segs;
+  std::vector<std::pair<Key, Value>> contents;
+};
+
+DamCola make_route_cola(unsigned g, bool tiered, bool staged) {
+  cola::ColaConfig cfg;
+  if (tiered) {
+    cfg = cola::ingest_tuned(g, 16);
+  } else {
+    cfg.growth = g;
+  }
+  cfg.staging_capacity = staged ? std::size_t{16} * g : 0;
+  // A cache far smaller than the data, so touch order shows in transfers.
+  return DamCola(cfg, dam::dam_mem_model(1024, 32u << 10));
+}
+
+RouteFootprint footprint(DamCola& d) {
+  d.check_invariants();
+  RouteFootprint f;
+  f.transfers = d.mm().stats().transfers;  // before the scan adds reads
+  for (std::size_t l = 0; l < d.level_count(); ++l) {
+    f.level_reals.push_back(d.level_real_count(l));
+    f.level_segs.push_back(d.level_segment_count(l));
+  }
+  d.for_each([&](Key k, Value v) { f.contents.emplace_back(k, v); });
+  return f;
+}
+
+void expect_same_footprint(const RouteFootprint& want, const RouteFootprint& got,
+                           const std::string& what) {
+  EXPECT_EQ(want.transfers, got.transfers) << what;
+  EXPECT_EQ(want.level_reals, got.level_reals) << what;
+  EXPECT_EQ(want.level_segs, got.level_segs) << what;
+  EXPECT_TRUE(want.contents == got.contents) << what;
+}
+
+TEST(ArrivalRoutes, EveryRouteLeavesTheSameStructure) {
+  // Mixed stream over a small universe: overwrites, erases of present and
+  // absent keys, and re-inserts of erased keys.
+  std::vector<Op<>> stream;
+  std::uint64_t s = 2024;
+  for (std::size_t i = 0; i < 6000; ++i) {
+    const Key k = splitmix64(s) % 2048;
+    stream.push_back(splitmix64(s) % 4 == 0 ? Op<>::del(k) : Op<>::put(k, i));
+  }
+  std::map<Key, Value> ref;
+  for (const Op<>& op : stream) {
+    if (op.erase) {
+      ref.erase(op.key);
+    } else {
+      ref[op.key] = op.value;
+    }
+  }
+  const std::vector<std::pair<Key, Value>> want_contents(ref.begin(), ref.end());
+
+  for (const bool tiered : {false, true}) {
+    for (const bool staged : {false, true}) {
+      for (const unsigned g : {2u, 4u, 8u}) {
+        const std::string shape = std::string(tiered ? "tiered" : "classic") +
+                                  (staged ? " staged" : " unstaged") +
+                                  " g=" + std::to_string(g);
+        DamCola singles = make_route_cola(g, tiered, staged);
+        DamCola batches = make_route_cola(g, tiered, staged);
+        DamCola applied = make_route_cola(g, tiered, staged);
+        for (const Op<>& op : stream) {
+          if (op.erase) {
+            singles.erase(op.key);
+            batches.erase_batch({&op.key, 1});
+          } else {
+            singles.insert(op.key, op.value);
+            const Entry<> e{op.key, op.value};
+            batches.insert_batch({&e, 1});
+          }
+          applied.apply_batch({&op, 1});
+        }
+        const RouteFootprint want = footprint(singles);
+        EXPECT_TRUE(want.contents == want_contents) << shape;
+        expect_same_footprint(want, footprint(batches), shape + " 1-entry batches");
+        expect_same_footprint(want, footprint(applied), shape + " 1-entry apply");
+
+        // Multi-entry runs (duplicate keys inside a run included): an
+        // insert_batch and an apply_batch of the same puts.
+        for (const std::size_t len : {std::size_t{7}, std::size_t{64}}) {
+          DamCola inserted = make_route_cola(g, tiered, staged);
+          DamCola put_ops = make_route_cola(g, tiered, staged);
+          std::vector<Entry<>> entries;
+          std::vector<Op<>> ops;
+          for (std::size_t i = 0; i < stream.size(); i += len) {
+            entries.clear();
+            ops.clear();
+            for (std::size_t j = i; j < std::min(i + len, stream.size()); ++j) {
+              entries.push_back(Entry<>{stream[j].key, j});
+              ops.push_back(Op<>::put(stream[j].key, j));
+            }
+            inserted.insert_batch(entries);
+            put_ops.apply_batch(ops);
+          }
+          expect_same_footprint(footprint(inserted), footprint(put_ops),
+                                shape + " batch " + std::to_string(len));
+        }
+      }
+    }
   }
 }
 

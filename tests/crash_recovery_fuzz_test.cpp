@@ -132,7 +132,6 @@ DurableConfig fuzz_dict_config(FsyncPolicy policy) {
   cfg.checkpoint_wal_bytes = 64u << 10;
   cfg.spill_depth = 1;
   cfg.segment_block_bytes = 512;
-  cfg.block_cache_bytes = 64u << 10;
   return cfg;
 }
 

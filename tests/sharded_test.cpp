@@ -339,6 +339,16 @@ TEST(Sharded, PresetsBuildShardedFacade) {
   }
 }
 
+// Every shard make_dictionary builds would open the same durable directory
+// (colliding WAL, segment and MANIFEST files), so the preset refuses the
+// combination before touching storage.
+TEST(Sharded, PresetsRejectShardsSharingOneDurableDirectory) {
+  api::DictConfig cfg = api::DictConfig::durable(
+      8, ::testing::TempDir() + "sharded-durable-rejected");
+  cfg.shards = 2;
+  EXPECT_THROW(api::make_dictionary("cola", cfg), std::invalid_argument);
+}
+
 // make_dictionary(kind, {.shards > 1}) wraps every shard in an
 // AnyDictionary. Its publish_view() must reach the wrapped Gcola's
 // per-staging-run view: one segment per run, the older runs' segments

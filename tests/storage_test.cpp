@@ -417,7 +417,7 @@ TEST(Segment, RoundTripMultiBlock) {
   FaultInjectionEnv env;
   const auto es = make_entries(100);
   write_segment(env, "seg-1.seg", es);
-  SegmentReader r(env, "seg-1.seg", 1, nullptr);
+  SegmentReader r(env, "seg-1.seg");
   EXPECT_EQ(r.total_count(), 100u);
   EXPECT_GT(r.block_count(), 5u);
   EXPECT_EQ(r.min_key(), 5u);
@@ -432,49 +432,14 @@ TEST(Segment, RoundTripMultiBlock) {
   }
 }
 
-TEST(Segment, CursorSeeksThroughFencesAndSkipsTombstones) {
-  FaultInjectionEnv env;
-  write_segment(env, "seg-1.seg", make_entries(100));
-  BlockCache cache(1u << 16);
-  SegmentReader r(env, "seg-1.seg", 1, &cache);
-  auto c = r.make_cursor(/*suppress_tombstones=*/true);
-  c.seek(400);  // key 405 exists, i=40, 40%4==0 -> tombstone, skip to 415
-  ASSERT_TRUE(c.valid());
-  EXPECT_EQ(c.entry().key, 415u);
-  c.seek(996);
-  EXPECT_FALSE(c.valid());
-  auto raw = r.make_cursor(/*suppress_tombstones=*/false);
-  raw.seek(400);
-  ASSERT_TRUE(raw.valid());
-  EXPECT_EQ(raw.entry().key, 405u);
-  EXPECT_EQ(raw.entry().flags, kEntryTombstone);
-  // Full scan through next() sees every non-tombstone in order.
-  std::uint64_t n = 0;
-  for (c.seek_first(); c.valid(); c.next()) ++n;
-  EXPECT_EQ(n, 75u);
-}
-
-TEST(Segment, BlockCacheServesRepeatSeeks) {
-  FaultInjectionEnv env;
-  write_segment(env, "seg-1.seg", make_entries(100));
-  BlockCache cache(1u << 16);
-  SegmentReader r(env, "seg-1.seg", 1, &cache);
-  auto c = r.make_cursor();
-  c.seek(500);
-  const std::uint64_t misses_after_first = cache.misses();
-  for (int i = 0; i < 10; ++i) c.seek(500);
-  EXPECT_EQ(cache.misses(), misses_after_first);
-  EXPECT_GE(cache.hits(), 10u);
-}
-
 TEST(Segment, EmptySegmentIsValid) {
   FaultInjectionEnv env;
   write_segment(env, "seg-1.seg", {});
-  SegmentReader r(env, "seg-1.seg", 1, nullptr);
+  SegmentReader r(env, "seg-1.seg");
   EXPECT_EQ(r.total_count(), 0u);
-  auto c = r.make_cursor();
-  c.seek_first();
-  EXPECT_FALSE(c.valid());
+  std::size_t n = 0;
+  r.for_each_raw([&](const SegmentEntry&) { ++n; });
+  EXPECT_EQ(n, 0u);
 }
 
 // The robustness core: flip EVERY byte of a segment file; every flip must
@@ -493,7 +458,7 @@ TEST(Segment, CorruptionMatrixEveryByteFlip) {
     env.poke("seg-1.seg", off, static_cast<std::uint8_t>(orig ^ 0x20));
     bool threw = false;
     try {
-      SegmentReader r(env, "seg-1.seg", 1, nullptr);
+      SegmentReader r(env, "seg-1.seg");
       r.for_each_raw([](const SegmentEntry&) {});
     } catch (const CorruptionError&) {
       threw = true;
